@@ -114,7 +114,7 @@ class LoadtestConfig:
     gpus: Tuple[str, ...] = ("TX1",)
     #: every registered backend mode, in registry order
     modes: Tuple[str, ...] = field(default_factory=lambda: tuple(available_modes()))
-    keys: int = 12  # population truncated to the first N cells
+    keys: int = 12  # population: the first N cells (at most the grid size)
     zipf_s: float = 1.1  # popularity skew exponent (0 = uniform)
     #: >1 emits the schedule in same-dataset bursts of this length: a
     #: zipf-drawn leader key is followed by burst-1 keys sharing its
@@ -209,6 +209,12 @@ def build_population(config: LoadtestConfig) -> List[RunRequest]:
                     )
     if not cells:
         raise BenchError("loadtest population is empty")
+    if config.keys > len(cells):
+        raise BenchError(
+            f"--keys {config.keys} exceeds the {len(cells)}-cell grid "
+            f"({len(config.algorithms)} algorithms x {len(config.datasets)} "
+            f"datasets x {len(config.gpus)} GPUs x {len(config.modes)} modes)"
+        )
     return cells[: config.keys]
 
 

@@ -5,11 +5,11 @@ end to end — which is the right granularity for paper fidelity but too
 coarse to localise a kernel regression: a 2x slowdown in the DRAM
 replay hides inside a cell whose wall clock is dominated by expansion.
 The micro suite times the individual vectorized kernels (DRAM batch
-replay, unique filtering, grouping, warp/stream coalescing, LRU cache
-replay, CC labelling) on fixed-seed synthetic inputs and writes the
-same style of schema-versioned artifact, so ``--compare`` against the
-committed ``benchmarks/baseline_micro.json`` gates future kernel work
-through the existing exit-2 path.
+replay, unique filtering, grouping, warp/stream coalescing, L2 locality
+profiling, LRU cache replay, CC labelling) on fixed-seed synthetic
+inputs and writes the same style of schema-versioned artifact, so
+``--compare`` against the committed ``benchmarks/baseline_micro.json``
+gates future kernel work through the existing exit-2 path.
 
 Each record pairs three things:
 
@@ -55,9 +55,18 @@ from ..core.ops import data_compaction
 from ..errors import BenchError
 from ..graph.csr import CsrGraph
 from ..mem.cache import SetAssociativeCache
-from ..mem.coalescer import coalesce_stream, coalesce_warp
+from ..mem.coalescer import (
+    SECTOR_BYTES,
+    CoalesceResult,
+    coalesce_stream,
+    coalesce_stream_reference,
+    coalesce_warp,
+    coalesce_warp_reference,
+    sequential_addresses,
+)
 from ..mem.dram import GDDR5
 from ..mem.dram_sim import BankedDramSim
+from ..mem.locality import LocalityProfile, profile_lines, profile_lines_reference
 from ..obs.metrics import MetricsRegistry, global_metrics
 from .compare import V_MISSING, V_SIM, V_WALL, V_FASTER, CompareReport, Finding
 from .record import WallStats, collect_provenance
@@ -311,20 +320,50 @@ def _coalesce_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
     return n, {"addresses": rng.integers(0, n, size=n) * 4}
 
 
-def _coalesce_warp_run(inputs: Dict[str, Any]) -> Dict[str, float]:
-    result = coalesce_warp(inputs["addresses"])
+def _sequential_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
+    """A sequential 4-byte walk, the shape most request-path streams have."""
+    n = 50_000 if quick else 200_000
+    return n, {"addresses": sequential_addresses(n, elem_bytes=4)}
+
+
+def _coalesce_checks(result: CoalesceResult) -> Dict[str, float]:
     return {
         "transactions": float(result.transactions),
         "accesses": float(result.accesses),
     }
+
+
+def _coalesce_warp_run(inputs: Dict[str, Any]) -> Dict[str, float]:
+    return _coalesce_checks(coalesce_warp(inputs["addresses"]))
+
+
+def _coalesce_warp_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
+    return _coalesce_checks(coalesce_warp_reference(inputs["addresses"]))
 
 
 def _coalesce_stream_run(inputs: Dict[str, Any]) -> Dict[str, float]:
-    result = coalesce_stream(inputs["addresses"])
+    return _coalesce_checks(coalesce_stream(inputs["addresses"]))
+
+
+def _coalesce_stream_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
+    return _coalesce_checks(coalesce_stream_reference(inputs["addresses"]))
+
+
+def _locality_checks(profile: LocalityProfile) -> Dict[str, float]:
     return {
-        "transactions": float(result.transactions),
-        "accesses": float(result.accesses),
+        "accesses": float(profile.accesses),
+        "unique_lines": float(profile.unique_lines),
     }
+
+
+def _locality_run(inputs: Dict[str, Any]) -> Dict[str, float]:
+    return _locality_checks(profile_lines(inputs["addresses"] // SECTOR_BYTES))
+
+
+def _locality_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
+    return _locality_checks(
+        profile_lines_reference(inputs["addresses"] // SECTOR_BYTES)
+    )
 
 
 def _cache_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
@@ -462,8 +501,33 @@ MICRO_KERNELS: Tuple[MicroKernel, ...] = (
     MicroKernel("dram.replay", _dram_inputs, _dram_run, _dram_reference),
     MicroKernel("filter.unique", _filter_inputs, _filter_run, _filter_reference),
     MicroKernel("group.order", _group_inputs, _group_run, _group_reference),
-    MicroKernel("coalesce.warp", _coalesce_inputs, _coalesce_warp_run),
-    MicroKernel("coalesce.stream", _coalesce_inputs, _coalesce_stream_run),
+    MicroKernel(
+        "coalesce.warp", _coalesce_inputs, _coalesce_warp_run, _coalesce_warp_reference
+    ),
+    MicroKernel(
+        "coalesce.warp.seq",
+        _sequential_inputs,
+        _coalesce_warp_run,
+        _coalesce_warp_reference,
+    ),
+    MicroKernel(
+        "coalesce.stream",
+        _coalesce_inputs,
+        _coalesce_stream_run,
+        _coalesce_stream_reference,
+    ),
+    MicroKernel(
+        "coalesce.stream.seq",
+        _sequential_inputs,
+        _coalesce_stream_run,
+        _coalesce_stream_reference,
+    ),
+    MicroKernel(
+        "locality.profile", _coalesce_inputs, _locality_run, _locality_reference
+    ),
+    MicroKernel(
+        "locality.profile.seq", _sequential_inputs, _locality_run, _locality_reference
+    ),
     MicroKernel("cache.lru", _cache_inputs, _cache_run, _cache_reference),
     MicroKernel("cc.labels", _cc_inputs, _cc_run, _cc_reference),
     MicroKernel("batch.compaction", _batch_inputs, _batch_run, _batch_reference),
@@ -544,7 +608,7 @@ def run_micro(
         if progress is not None:
             gain = "" if speedup is None else f"  ({speedup:.1f}x vs reference)"
             progress(
-                f"  {kernel.name:16s} n={size:<7d} "
+                f"  {kernel.name:20s} n={size:<7d} "
                 f"median {wall.median_s * 1e3:8.3f} ms{gain}"
             )
     artifact.metrics = local.flat_snapshot()

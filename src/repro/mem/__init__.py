@@ -8,14 +8,22 @@ from .coalescer import (
     WARP_SIZE,
     CoalesceResult,
     coalesce_stream,
+    coalesce_stream_reference,
     coalesce_warp,
+    coalesce_warp_reference,
     gather_addresses,
     sequential_addresses,
 )
 from .dram import GDDR5, LPDDR4, DramConfig, DramModel, DramTraffic
 from .dram_sim import BankedDramSim, DramSimResult, DramTimingParams
 from .hierarchy import MemoryHierarchy, MemoryStats, row_hit_fraction
-from .locality import LocalityProfile, estimate_hit_rate, estimate_hits, profile_lines
+from .locality import (
+    LocalityProfile,
+    estimate_hit_rate,
+    estimate_hits,
+    profile_lines,
+    profile_lines_reference,
+)
 
 __all__ = [
     "AddressSpace",
@@ -27,6 +35,8 @@ __all__ = [
     "CoalesceResult",
     "coalesce_warp",
     "coalesce_stream",
+    "coalesce_warp_reference",
+    "coalesce_stream_reference",
     "sequential_addresses",
     "gather_addresses",
     "SECTOR_BYTES",
@@ -45,6 +55,7 @@ __all__ = [
     "row_hit_fraction",
     "LocalityProfile",
     "profile_lines",
+    "profile_lines_reference",
     "estimate_hit_rate",
     "estimate_hits",
 ]

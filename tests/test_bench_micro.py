@@ -34,12 +34,10 @@ class TestRunMicro:
 
     def test_reference_kernels_report_speedup(self, quick_artifact):
         by_name = {r.kernel: r for r in quick_artifact.records}
-        for name in ("dram.replay", "filter.unique", "group.order", "cache.lru", "cc.labels"):
+        for name in MICRO_KERNEL_NAMES:
             record = by_name[name]
-            assert record.reference_wall is not None
-            assert record.speedup is not None and record.speedup > 0
-        # Coalescers have no scalar twin.
-        assert by_name["coalesce.warp"].speedup is None
+            assert record.reference_wall is not None, name
+            assert record.speedup is not None and record.speedup > 0, name
 
     def test_checksums_deterministic_across_runs(self, quick_artifact):
         again = run_micro(quick=True, reps=1, tag="again")
@@ -161,6 +159,14 @@ class TestCommittedBaseline:
         record = baseline.record_map()[("dram.replay", DRAM_TRACE_LEN)]
         assert record.size == 100_000
         assert record.speedup is not None and record.speedup >= 3.0
+
+    @pytest.mark.parametrize(
+        "kernel", ["coalesce.warp.seq", "coalesce.stream.seq", "locality.profile.seq"]
+    )
+    def test_baseline_proves_sequential_fast_path_speedup(self, kernel):
+        baseline = MicroArtifact.load("benchmarks/baseline_micro.json")
+        record = baseline.record_map()[(kernel, 50_000)]
+        assert record.speedup is not None and record.speedup >= 2.0
 
     def test_current_checksums_match_baseline(self, quick_artifact):
         baseline = MicroArtifact.load("benchmarks/baseline_micro.json")

@@ -61,6 +61,12 @@ class TestSchedule:
         labels = [r.label() for r in population]
         assert len(set(labels)) == 4  # all distinct cells
 
+    def test_keys_beyond_grid_rejected(self):
+        # bfs x 3 datasets x 1 GPU x 4 modes = 12 cells.
+        assert len(build_population(LoadtestConfig(keys=12))) == 12
+        with pytest.raises(BenchError, match="13 exceeds the 12-cell grid"):
+            build_population(LoadtestConfig(keys=13))
+
     def test_schedule_is_seed_deterministic(self):
         config = LoadtestConfig(requests=200, keys=5, seed=7)
         first = build_schedule(config, 5)

@@ -12,8 +12,11 @@ from repro.mem import (
     estimate_hit_rate,
     estimate_hits,
     profile_lines,
+    profile_lines_reference,
 )
 from repro.mem.coalescer import SECTOR_BYTES, coalesce_stream
+from repro.mem.locality import BITMAP_SPAN_FACTOR
+from tests.test_mem_coalescer import ORDERS, ordered
 
 
 class TestSetAssociativeCache:
@@ -237,6 +240,50 @@ class TestLocalityProfile:
     def test_bad_capacity_rejected(self):
         with pytest.raises(ConfigError):
             estimate_hit_rate(LocalityProfile(1, 1), 0, 64)
+
+
+class TestProfileLinesMatchesReference:
+    """Every counting path of ``profile_lines`` equals the ``np.unique``
+    reference exactly."""
+
+    @staticmethod
+    def assert_same(line_ids):
+        assert profile_lines(line_ids) == profile_lines_reference(line_ids)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_tiny_streams(self, n, order):
+        self.assert_same(ordered([7, 3][:n], order))
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=1 << 12), max_size=300),
+        st.sampled_from(ORDERS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_dense_span(self, raw, order):
+        self.assert_same(ordered(raw, order))
+
+    @given(
+        st.lists(st.integers(min_value=-(1 << 40), max_value=1 << 40), max_size=300),
+        st.sampled_from(ORDERS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_wide_span(self, raw, order):
+        self.assert_same(ordered(raw, order))
+
+    def test_sparse_wide_span_takes_unique_fallback(self):
+        ids = np.array([5, 1 << 40, 5, 3, 1 << 33, 3], dtype=np.int64)
+        span = int(ids.max()) - int(ids.min()) + 1
+        assert span > BITMAP_SPAN_FACTOR * ids.size  # not the bitmap path
+        assert (np.diff(ids) < 0).any()  # not the sorted path
+        self.assert_same(ids)
+        assert profile_lines(ids).unique_lines == 4
+
+    def test_unsorted_dense_span_takes_bitmap(self):
+        ids = np.array([9, 2, 9, 4, 2, 7], dtype=np.int64)
+        assert int(ids.max()) - int(ids.min()) + 1 <= BITMAP_SPAN_FACTOR * ids.size
+        self.assert_same(ids)
+        assert profile_lines(ids).unique_lines == 4
 
 
 class TestEstimatorAgainstSimulator:

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.mem import (
     SECTOR_BYTES,
+    WARP_SIZE,
     coalesce_stream,
+    coalesce_stream_reference,
     coalesce_warp,
+    coalesce_warp_reference,
     gather_addresses,
     sequential_addresses,
 )
@@ -129,6 +132,11 @@ class TestStreamCoalescer:
         with pytest.raises(SimulationError):
             coalesce_stream(np.zeros(4, dtype=np.int64), merge_window=0)
 
+    @pytest.mark.parametrize("sector_bytes", [48, 0, -32])
+    def test_bad_sector_bytes_rejected(self, sector_bytes):
+        with pytest.raises(SimulationError, match="power of two"):
+            coalesce_stream(np.zeros(4, dtype=np.int64), sector_bytes=sector_bytes)
+
     @given(
         st.lists(st.integers(min_value=0, max_value=1 << 16), min_size=1, max_size=200),
         st.integers(min_value=1, max_value=8),
@@ -139,6 +147,123 @@ class TestStreamCoalescer:
         narrow = coalesce_stream(addrs, merge_window=window)
         wide = coalesce_stream(addrs, merge_window=window + 4)
         assert wide.transactions <= narrow.transactions
+
+
+ORDERS = ("increasing", "non-decreasing", "reversed", "random")
+
+
+def ordered(values, order: str) -> np.ndarray:
+    """``values`` as one of the stream shapes real runs produce (the
+    locality tests in ``test_mem_cache`` share it)."""
+    ids = np.asarray(values, dtype=np.int64)
+    if order == "increasing":
+        return np.unique(ids)
+    if order == "non-decreasing":
+        return np.sort(np.concatenate([ids, ids[: ids.size // 2]]))
+    if order == "reversed":
+        return np.sort(ids)[::-1].copy()
+    return ids
+
+
+def assert_same_result(fast, reference):
+    assert fast.accesses == reference.accesses
+    assert fast.transactions == reference.transactions
+    assert fast.sector_bytes == reference.sector_bytes
+    assert fast.line_ids.dtype == reference.line_ids.dtype
+    np.testing.assert_array_equal(fast.line_ids, reference.line_ids)
+
+
+#: Byte addresses: dense enough that sectors repeat, plus sparse ones.
+addresses = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=1 << 10),
+        st.integers(min_value=0, max_value=1 << 40),
+    ),
+    max_size=300,
+)
+
+
+class TestFastPathsMatchReference:
+    """Each O(n) coalescer path returns exactly its ``*_reference``."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_tiny_streams(self, n, order):
+        addrs = ordered([96, 4][:n], order)
+        assert_same_result(coalesce_warp(addrs), coalesce_warp_reference(addrs))
+        for window in (1, 4):
+            assert_same_result(
+                coalesce_stream(addrs, merge_window=window),
+                coalesce_stream_reference(addrs, merge_window=window),
+            )
+
+    @given(
+        addresses,
+        st.sampled_from(ORDERS),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from([4, 32, 128]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_warp(self, raw, order, warp_size, sector_bytes):
+        addrs = ordered(raw, order)
+        kwargs = dict(warp_size=warp_size, sector_bytes=sector_bytes)
+        assert_same_result(
+            coalesce_warp(addrs, **kwargs), coalesce_warp_reference(addrs, **kwargs)
+        )
+
+    @given(addresses, st.sampled_from(ORDERS), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_warp_with_active_mask(self, raw, order, data):
+        addrs = ordered(raw, order)
+        mask = np.asarray(
+            data.draw(st.lists(st.booleans(), min_size=addrs.size, max_size=addrs.size)),
+            dtype=bool,
+        )
+        assert_same_result(
+            coalesce_warp(addrs, active_mask=mask),
+            coalesce_warp_reference(addrs, active_mask=mask),
+        )
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_partial_last_warp(self, masked):
+        addrs = sequential_addresses(45, elem_bytes=4)[::-1].copy()
+        addrs = np.concatenate([sequential_addresses(40, elem_bytes=4), addrs])
+        mask = np.arange(addrs.size) % 3 != 0 if masked else None
+        for stream in (addrs, np.sort(addrs)):
+            fast = coalesce_warp(stream, active_mask=mask)
+            assert fast.accesses % WARP_SIZE  # the last warp is partial
+            assert_same_result(fast, coalesce_warp_reference(stream, active_mask=mask))
+
+    def test_negative_ids_match_reference_padding(self):
+        # The reference pads partial warps with id -1 and drops that id;
+        # the fast paths must agree even on (unphysical) negative addresses.
+        for addrs in ([-32, -32, 0, 64], [64, -32, 0, -64, 32]):
+            addrs = np.asarray(addrs, dtype=np.int64)
+            assert_same_result(coalesce_warp(addrs), coalesce_warp_reference(addrs))
+
+    @given(
+        addresses,
+        st.sampled_from(ORDERS),
+        st.integers(min_value=1, max_value=16),
+        st.sampled_from([4, 32, 128]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stream(self, raw, order, merge_window, sector_bytes):
+        addrs = ordered(raw, order)
+        kwargs = dict(merge_window=merge_window, sector_bytes=sector_bytes)
+        assert_same_result(
+            coalesce_stream(addrs, **kwargs),
+            coalesce_stream_reference(addrs, **kwargs),
+        )
+
+    @pytest.mark.parametrize("merge_window", range(1, 17))
+    def test_stream_long_runs(self, merge_window):
+        # Runs longer than the window split into ceil(run / window) transactions.
+        addrs = np.repeat(np.array([0, 32, 0, 96], dtype=np.int64), [1, 7, 20, 33])
+        assert_same_result(
+            coalesce_stream(addrs, merge_window=merge_window),
+            coalesce_stream_reference(addrs, merge_window=merge_window),
+        )
 
 
 class TestAddressHelpers:
