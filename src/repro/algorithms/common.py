@@ -180,13 +180,20 @@ class GraphOnDevice:
 
         Scan-based allocation (Merrill/Billeter) makes an upsweep read
         pass and a downsweep write pass over its ``n`` inputs — memory
-        traffic GPU stream compaction pays and the SCU does not.
+        traffic GPU stream compaction pays and the SCU does not.  Both
+        passes walk the scratch from its start.  An edge frontier that
+        carries duplicates can outgrow the ``max(edges, nodes)``-element
+        scratch; its passes then wrap around it.
         """
         if n <= 0:
             return
-        indices = np.arange(n, dtype=np.int64) % self.scan_scratch.size
-        spec.load(self.scan_scratch.addresses(indices))
-        spec.store(self.scan_scratch.addresses(indices))
+        scratch = self.scan_scratch
+        if n <= scratch.size:
+            addresses = scratch.walk(0, n)
+        else:
+            addresses = scratch.addresses(np.arange(n, dtype=np.int64) % scratch.size)
+        spec.load(addresses)
+        spec.store(addresses)
 
 
 def finalize_report(report: RunReport, system: ScuSystem) -> RunReport:

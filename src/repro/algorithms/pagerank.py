@@ -62,7 +62,6 @@ def run_pagerank(
     tracer = system.obs.tracer
 
     n = graph.num_nodes
-    all_nodes = np.arange(n, dtype=np.int64)
     degrees = graph.out_degrees
     indexes_dev = ctx.array("pr.indexes", graph.offsets[:-1])
     count_dev = ctx.array("pr.count", degrees)
@@ -82,10 +81,10 @@ def run_pagerank(
                 instructions_per_thread=KERNEL_COSTS["expand.prepare"],
                 extra_instructions=int(SCAN_OVERHEAD_PER_ELEMENT * n),
             )
-            prepare.load(dev.offsets.addresses(all_nodes))
-            prepare.load(dev.offsets.addresses(all_nodes + 1))
-            prepare.load(dev.node_data.addresses(all_nodes))
-            prepare.store(contrib_dev.addresses())
+            prepare.load(dev.offsets.walk(0, n))
+            prepare.load(dev.offsets.walk(1, n))
+            prepare.load(dev.node_data.walk(0, n))
+            prepare.store(contrib_dev.walk())
             report.add(gpu.run(prepare))
 
             ef_values = graph.edges[gather_indices]
@@ -104,12 +103,14 @@ def run_pagerank(
                     memory_efficiency=COMPACTION_MEMORY_EFFICIENCY,
                     extra_overhead_s=compaction_sync_overhead_s(gpu.config),
                 )
-                gather.load(indexes_dev.addresses())
-                gather.load(count_dev.addresses())
-                gather.load(dev.edges.addresses(gather_indices))
-                gather.load(contrib_dev.addresses())
-                gather.store(ef_dev.addresses())
-                gather.store(wf_dev.addresses())
+                gather.load(indexes_dev.walk())
+                gather.load(count_dev.walk())
+                # offsets[0] == 0 and offsets[-1] == m: the gather over
+                # every node's edges is the walk over the edge array.
+                gather.load(dev.edges.walk(0, gather_indices.size))
+                gather.load(contrib_dev.walk())
+                gather.store(ef_dev.walk())
+                gather.store(wf_dev.walk())
                 dev.add_scan_traffic(gather, n)
                 report.add(gpu.run(gather))
             else:  # SCU offload (Algorithm 3): expansion + replication
@@ -131,8 +132,8 @@ def run_pagerank(
                 threads=ef_values.size,
                 instructions_per_thread=KERNEL_COSTS["pr.rank_update"],
             )
-            update.load(ef_dev.addresses())
-            update.load(wf_dev.addresses())
+            update.load(ef_dev.walk())
+            update.load(wf_dev.walk())
             update.atomic(dev.node_data.addresses(np.asarray(ef_dev.values, dtype=np.int64)))
             report.add(gpu.run(update))
 
@@ -144,8 +145,8 @@ def run_pagerank(
                 threads=n,
                 instructions_per_thread=KERNEL_COSTS["pr.dampen"],
             )
-            dampen.load(dev.node_data.addresses(all_nodes))
-            dampen.store(dev.node_data.addresses(all_nodes))
+            dampen.load(dev.node_data.walk(0, n))
+            dampen.store(dev.node_data.walk(0, n))
             report.add(gpu.run(dampen))
 
             # ---- convergence check (GPU, all modes) ------------------------------
@@ -156,8 +157,8 @@ def run_pagerank(
                 threads=n,
                 instructions_per_thread=KERNEL_COSTS["pr.convergence"],
             )
-            check.load(dev.node_data.addresses(all_nodes))
-            check.load(prev_ranks_dev.addresses(all_nodes))
+            check.load(dev.node_data.walk(0, n))
+            check.load(prev_ranks_dev.walk(0, n))
             report.add(gpu.run(check))
 
             ranks[:] = new_ranks

@@ -177,13 +177,13 @@ def _expand(
         instructions_per_thread=KERNEL_COSTS["expand.prepare"],
         extra_instructions=int(SCAN_OVERHEAD_PER_ELEMENT * nf.size),
     )
-    prepare.load(nf_dev.addresses())
+    prepare.load(nf_dev.walk())
     prepare.load(dev.offsets.addresses(nf))
     prepare.load(dev.offsets.addresses(nf + 1))
     prepare.load(dev.node_data.addresses(nf))
-    prepare.store(indexes_dev.addresses())
-    prepare.store(count_dev.addresses())
-    prepare.store(cost_dev.addresses())
+    prepare.store(indexes_dev.walk())
+    prepare.store(count_dev.walk())
+    prepare.store(cost_dev.walk())
     report.add(gpu.run(prepare))
 
     gather_indices = expanded_indices(indexes_values, count_values)
@@ -202,13 +202,13 @@ def _expand(
             memory_efficiency=COMPACTION_MEMORY_EFFICIENCY,
             extra_overhead_s=compaction_sync_overhead_s(gpu.config),
         )
-        gather.load(indexes_dev.addresses())
-        gather.load(count_dev.addresses())
-        gather.load(cost_dev.addresses())
+        gather.load(indexes_dev.walk())
+        gather.load(count_dev.walk())
+        gather.load(cost_dev.walk())
         gather.load(dev.edges.addresses(gather_indices))
         gather.load(dev.weights.addresses(gather_indices))
-        gather.store(ef_dev.addresses())
-        gather.store(wf_dev.addresses())
+        gather.store(ef_dev.walk())
+        gather.store(wf_dev.walk())
         dev.add_scan_traffic(gather, nf.size)
         report.add(gpu.run(gather))
         return ef_dev, wf_dev
@@ -327,8 +327,8 @@ def _contract(
         threads=ef.size,
         instructions_per_thread=KERNEL_COSTS["sssp.contract.process"],
     )
-    process.load(ef_dev.addresses())
-    process.load(wf_dev.addresses())
+    process.load(ef_dev.walk())
+    process.load(wf_dev.walk())
     process.load(dev.node_data.addresses(ef))  # divergent distance lookups
     # Lookup-table dedup: candidates scatter their thread id by dest node,
     # then re-read to learn the winner (two divergent passes).
@@ -338,8 +338,8 @@ def _contract(
     process.atomic(dev.node_data.addresses(ef[near]))  # atomicMin relaxations
     mask_near = ctx.bitmask("mask.near", winners)
     mask_far = ctx.bitmask("mask.far", far)
-    process.store(mask_near.addresses())
-    process.store(mask_far.addresses())
+    process.store(mask_near.walk())
+    process.store(mask_far.walk())
     report.add(gpu.run(process))
 
     # Functional relaxation (atomicMin semantics).
@@ -356,14 +356,14 @@ def _contract(
             memory_efficiency=COMPACTION_MEMORY_EFFICIENCY,
             extra_overhead_s=compaction_sync_overhead_s(gpu.config),
         )
-        compact.load(ef_dev.addresses())
-        compact.load(wf_dev.addresses())
-        compact.load(mask_near.addresses())
-        compact.load(mask_far.addresses())
+        compact.load(ef_dev.walk())
+        compact.load(wf_dev.walk())
+        compact.load(mask_near.walk())
+        compact.load(mask_far.walk())
         nf_dev = ctx.array("nf.next", near_dests)
-        compact.store(nf_dev.addresses())
-        compact.store(ctx.array("far.e", ef[far]).addresses())
-        compact.store(ctx.array("far.w", wf[far]).addresses())
+        compact.store(nf_dev.walk())
+        compact.store(ctx.array("far.e", ef[far]).walk())
+        compact.store(ctx.array("far.w", wf[far]).walk())
         dev.add_scan_traffic(compact, ef.size)
         dev.add_scan_traffic(compact, ef.size)
         report.add(gpu.run(compact))

@@ -6,10 +6,11 @@ coarse to localise a kernel regression: a 2x slowdown in the DRAM
 replay hides inside a cell whose wall clock is dominated by expansion.
 The micro suite times the individual vectorized kernels (DRAM batch
 replay, unique filtering, grouping, warp/stream coalescing, L2 locality
-profiling, LRU cache replay, CC labelling) on fixed-seed synthetic
-inputs and writes the same style of schema-versioned artifact, so
-``--compare`` against the committed ``benchmarks/baseline_micro.json``
-gates future kernel work through the existing exit-2 path.
+profiling, closed-form walk pricing, LRU cache replay, CC labelling) on
+fixed-seed synthetic inputs and writes the same style of
+schema-versioned artifact, so ``--compare`` against the committed
+``benchmarks/baseline_micro.json`` gates future kernel work through the
+existing exit-2 path.
 
 Each record pairs three things:
 
@@ -64,8 +65,10 @@ from ..mem.coalescer import (
     coalesce_warp_reference,
     sequential_addresses,
 )
+from ..mem.address_space import AddressWalk
 from ..mem.dram import GDDR5
 from ..mem.dram_sim import BankedDramSim
+from ..mem.hierarchy import MemoryHierarchy, MemoryStats
 from ..mem.locality import LocalityProfile, profile_lines, profile_lines_reference
 from ..obs.metrics import MetricsRegistry, global_metrics
 from .compare import V_MISSING, V_SIM, V_WALL, V_FASTER, CompareReport, Finding
@@ -366,6 +369,32 @@ def _locality_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
     )
 
 
+def _walk_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
+    """A 4-byte walk starting one element into an allocation (so warps
+    share their boundary sectors), priced by a GTX980-sized L2."""
+    n = 50_000 if quick else 200_000
+    hierarchy = MemoryHierarchy(l2_capacity_bytes=2 * 1024 * 1024, dram=GDDR5)
+    return n, {"walk": AddressWalk((1 << 20) + 4, n, 4), "hierarchy": hierarchy}
+
+
+def _hierarchy_checks(stats: MemoryStats) -> Dict[str, float]:
+    return {
+        "transactions": float(stats.transactions),
+        "l2_hits": float(stats.l2_hits),
+        "dram_bytes": float(stats.dram_bytes),
+        "row_hit_fraction": stats.row_hit_fraction,
+    }
+
+
+def _walk_run(inputs: Dict[str, Any]) -> Dict[str, float]:
+    return _hierarchy_checks(inputs["hierarchy"].process(coalesce_warp(inputs["walk"])))
+
+
+def _walk_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
+    addresses = inputs["walk"].materialize()
+    return _hierarchy_checks(inputs["hierarchy"].process(coalesce_warp(addresses)))
+
+
 def _cache_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
     n = 25_000 if quick else 100_000
     rng = np.random.default_rng(2030)
@@ -528,6 +557,7 @@ MICRO_KERNELS: Tuple[MicroKernel, ...] = (
     MicroKernel(
         "locality.profile.seq", _sequential_inputs, _locality_run, _locality_reference
     ),
+    MicroKernel("hierarchy.walk", _walk_inputs, _walk_run, _walk_reference),
     MicroKernel("cache.lru", _cache_inputs, _cache_run, _cache_reference),
     MicroKernel("cc.labels", _cc_inputs, _cc_run, _cc_reference),
     MicroKernel("batch.compaction", _batch_inputs, _batch_run, _batch_reference),

@@ -53,6 +53,7 @@ from .ops import (
     data_compaction,
     exclusive_scan,
     expanded_indices,
+    expansion_gather_indices,
     replication_compaction,
 )
 from .timing import ScuTiming, scu_op_timing
@@ -105,6 +106,7 @@ __all__ = [
     "replication_compaction",
     "access_expansion_compaction",
     "expanded_indices",
+    "expansion_gather_indices",
     "batch_offsets",
     "concat_batch",
     "split_batch",

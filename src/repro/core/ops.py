@@ -140,6 +140,22 @@ def access_expansion_compaction(
     the edge frontier.
     """
     arr = _as_1d(data, "data")
+    return arr[expansion_gather_indices(arr, indexes, count, bitmask)]
+
+
+def expansion_gather_indices(
+    data: np.ndarray,
+    indexes: np.ndarray,
+    count: np.ndarray,
+    bitmask: np.ndarray | None = None,
+) -> np.ndarray:
+    """The element indices :func:`access_expansion_compaction` gathers
+    from ``data``, with every operand checked.
+
+    Callers that need both the gathered values and the gather's
+    addresses build the indices once here.
+    """
+    data_size = _as_1d(data, "data").size
     idx = _as_1d(indexes, "indexes").astype(np.int64)
     cnt = _as_1d(count, "count").astype(np.int64)
     if idx.size != cnt.size:
@@ -150,11 +166,11 @@ def access_expansion_compaction(
         mask = _check_mask(bitmask, idx.size)
         idx, cnt = idx[mask], cnt[mask]
     if idx.size == 0:
-        return arr[:0]
+        return np.empty(0, dtype=np.int64)
     ends = idx + cnt
-    if idx.min() < 0 or (cnt.size and ends.max() > arr.size):
+    if idx.min() < 0 or ends.max() > data_size:
         raise OperationError("expansion range out of bounds")
-    return arr[expanded_indices(idx, cnt)]
+    return expanded_indices(idx, cnt)
 
 
 def expanded_indices(indexes: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -169,8 +185,10 @@ def expanded_indices(indexes: np.ndarray, count: np.ndarray) -> np.ndarray:
     total = int(cnt.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    # Standard ragged-range construction: exclusive-scan offsets + base.
+    # Ragged range in two passes: output position ``j`` of range ``k``
+    # is ``idx[k] + (j - starts[k])``, so repeat each range's
+    # ``idx - starts`` over its length and add the position.
     starts = exclusive_scan(cnt)
-    flat = np.arange(total, dtype=np.int64)
-    slot = np.repeat(np.arange(cnt.size, dtype=np.int64), cnt)
-    return idx[slot] + (flat - starts[slot])
+    out = np.repeat(idx - starts, cnt)
+    out += np.arange(total, dtype=np.int64)
+    return out

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mem.address_space import DeviceArray
+from ..mem.address_space import AddressWalk, DeviceArray
 from ..mem.coalescer import CoalesceResult, coalesce_stream, coalesce_warp
 from ..mem.hierarchy import MemoryHierarchy, MemoryStats
 from ..obs import NULL_OBS, Observability
@@ -37,7 +37,7 @@ class ScuStream:
     """One address stream an SCU operation issues."""
 
     role: str  # "data", "bitmask", "indexes", "count", "hash", "output"
-    addresses: np.ndarray
+    addresses: np.ndarray | AddressWalk
     is_write: bool = False
     #: hash-table traffic is random by construction; everything else the
     #: SCU touches is either sequential or a gather the coalescer sees.
@@ -97,20 +97,21 @@ def streams_memory_stats(
 
 
 def sequential_read(array: DeviceArray, role: str = "data") -> ScuStream:
-    return ScuStream(role=role, addresses=array.addresses())
+    return ScuStream(role=role, addresses=array.walk())
 
 
 def bitmask_read(mask_array: DeviceArray) -> ScuStream:
     """The packed bitmask walk: one 4-byte word per 32 elements."""
-    return ScuStream(role="bitmask", addresses=mask_array.addresses())
+    return ScuStream(role="bitmask", addresses=mask_array.walk())
 
 
 def gather_read(array: DeviceArray, indices: np.ndarray, role: str = "data") -> ScuStream:
     return ScuStream(role=role, addresses=array.addresses(indices))
 
 
-def sequential_write(base_addresses: np.ndarray) -> ScuStream:
-    return ScuStream(role="output", addresses=base_addresses, is_write=True)
+def sequential_write(array: DeviceArray) -> ScuStream:
+    """The Data Store's walk over the output array."""
+    return ScuStream(role="output", addresses=array.walk(), is_write=True)
 
 
 def hash_probe(addresses: np.ndarray) -> ScuStream:

@@ -179,7 +179,7 @@ class StreamCompactionUnit:
         out_array = self.ctx.bitmask(out, mask)
         streams = [
             sequential_read(data),
-            sequential_write(out_array.addresses()),
+            sequential_write(out_array),
         ]
         report = self._report(
             f"scu.bitmask({data.name})", elements=data.size, streams=streams
@@ -203,7 +203,7 @@ class StreamCompactionUnit:
             sequential_read(data),
             bitmask_read(bitmask),
             *self._reorder_streams(reorder),
-            sequential_write(out_array.addresses()),
+            sequential_write(out_array),
         ]
         report = self._report(
             f"scu.data_compaction({data.name})", elements=data.size, streams=streams
@@ -227,7 +227,7 @@ class StreamCompactionUnit:
             sequential_read(indexes, role="indexes"),
             bitmask_read(bitmask),
             gather_read(data, valid_indices),
-            sequential_write(out_array.addresses()),
+            sequential_write(out_array),
         ]
         report = self._report(
             f"scu.access_compaction({data.name})",
@@ -253,7 +253,7 @@ class StreamCompactionUnit:
             sequential_read(data),
             sequential_read(count, role="count"),
             *([] if bitmask is None else [bitmask_read(bitmask)]),
-            sequential_write(out_array.addresses()),
+            sequential_write(out_array),
         ]
         # The pipeline occupies a slot per *output* element while replaying.
         elements = max(data.size, out_array.size)
@@ -284,14 +284,12 @@ class StreamCompactionUnit:
         surviving elements are fetched.
         """
         mask_values = None if bitmask is None else bitmask.values
-        expanded = ops.access_expansion_compaction(
+        # One index build serves both the gathered values and the
+        # gather stream's addresses.
+        gather_indices = ops.expansion_gather_indices(
             data.values, indexes.values, count.values, mask_values
         )
-        idx = np.asarray(indexes.values, dtype=np.int64)
-        cnt = np.asarray(count.values, dtype=np.int64)
-        if mask_values is not None:
-            idx, cnt = idx[mask_values], cnt[mask_values]
-        gather_indices = ops.expanded_indices(idx, cnt)
+        expanded = np.asarray(data.values)[gather_indices]
         if element_bitmask is not None:
             element_mask = np.asarray(element_bitmask.values, dtype=bool)
             if element_mask.size != expanded.size:
@@ -310,7 +308,7 @@ class StreamCompactionUnit:
             *([] if element_bitmask is None else [bitmask_read(element_bitmask)]),
             *self._reorder_streams(reorder),
             gather_read(data, gather_indices),
-            sequential_write(out_array.addresses()),
+            sequential_write(out_array),
         ]
         # Pipeline occupancy: with an element bitmask the unit still
         # streams (and mask-checks) every input element; only the fetch
@@ -355,7 +353,7 @@ class StreamCompactionUnit:
                     slots, base=self._hash_base(table), bytes_per_entry=table.bytes_per_entry
                 )
             ),
-            sequential_write(out_array.addresses()),
+            sequential_write(out_array),
         ]
         report = self._report(
             f"scu.filter_unique({ids.name})",
@@ -395,7 +393,7 @@ class StreamCompactionUnit:
                     slots, base=self._hash_base(table), bytes_per_entry=table.bytes_per_entry
                 )
             ),
-            sequential_write(out_array.addresses()),
+            sequential_write(out_array),
         ]
         report = self._report(
             f"scu.filter_best_cost({ids.name})",
@@ -440,7 +438,7 @@ class StreamCompactionUnit:
                     slots, base=self._hash_base(table), bytes_per_entry=table.bytes_per_entry
                 )
             ),
-            sequential_write(out_array.addresses()),
+            sequential_write(out_array),
         ]
         report = self._report(
             f"scu.grouping({destinations.name})",

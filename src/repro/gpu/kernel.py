@@ -15,14 +15,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import SimulationError
+from ..mem.address_space import AddressWalk
 from ..phases import PhaseKind
+
+
+def _stream(addresses: np.ndarray | AddressWalk) -> np.ndarray | AddressWalk:
+    """A walk is carried as-is; anything else becomes int64 addresses."""
+    if isinstance(addresses, AddressWalk):
+        return addresses
+    return np.asarray(addresses, dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class AccessStream:
     """One global-memory access pattern issued by a kernel."""
 
-    addresses: np.ndarray  # byte address per thread/element, thread order
+    #: byte address per thread/element in thread order, or a sequential walk
+    addresses: np.ndarray | AddressWalk
     is_store: bool = False
     is_atomic: bool = False
     l2_bypass: bool = False  # streaming data not worth caching
@@ -62,14 +71,14 @@ class KernelSpec:
 
     def load(
         self,
-        addresses: np.ndarray,
+        addresses: np.ndarray | AddressWalk,
         *,
         l2_bypass: bool = False,
         active_mask: np.ndarray | None = None,
     ) -> "KernelSpec":
         self.accesses.append(
             AccessStream(
-                addresses=np.asarray(addresses, dtype=np.int64),
+                addresses=_stream(addresses),
                 l2_bypass=l2_bypass,
                 active_mask=active_mask,
             )
@@ -78,14 +87,14 @@ class KernelSpec:
 
     def store(
         self,
-        addresses: np.ndarray,
+        addresses: np.ndarray | AddressWalk,
         *,
         l2_bypass: bool = False,
         active_mask: np.ndarray | None = None,
     ) -> "KernelSpec":
         self.accesses.append(
             AccessStream(
-                addresses=np.asarray(addresses, dtype=np.int64),
+                addresses=_stream(addresses),
                 is_store=True,
                 l2_bypass=l2_bypass,
                 active_mask=active_mask,
@@ -93,11 +102,11 @@ class KernelSpec:
         )
         return self
 
-    def atomic(self, addresses: np.ndarray) -> "KernelSpec":
+    def atomic(self, addresses: np.ndarray | AddressWalk) -> "KernelSpec":
         """Atomic read-modify-write on the given addresses."""
         self.accesses.append(
             AccessStream(
-                addresses=np.asarray(addresses, dtype=np.int64),
+                addresses=_stream(addresses),
                 is_store=True,
                 is_atomic=True,
             )

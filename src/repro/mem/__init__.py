@@ -1,6 +1,12 @@
 """Memory-system substrate: coalescing, caches, DRAM, hierarchy."""
 
-from .address_space import AddressSpace, Allocation, DeviceArray, DeviceContext
+from .address_space import (
+    AddressSpace,
+    AddressWalk,
+    Allocation,
+    DeviceArray,
+    DeviceContext,
+)
 from .cache import CacheStats, SetAssociativeCache
 from .coalescer import (
     LINE_BYTES,
@@ -27,6 +33,7 @@ from .locality import (
 
 __all__ = [
     "AddressSpace",
+    "AddressWalk",
     "Allocation",
     "DeviceArray",
     "DeviceContext",

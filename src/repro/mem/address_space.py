@@ -6,6 +6,11 @@ simulation therefore places every logical array (CSR offsets, edge
 array, frontiers, hash tables, ...) at a concrete base address through
 this allocator, mirroring ``cudaMalloc``'s behaviour of handing out
 aligned, non-overlapping regions.
+
+A walk over consecutive elements of one array is described by an
+:class:`AddressWalk` (base, count, element size) rather than by its
+addresses: the coalescers and the hierarchy price such a walk in closed
+form and only materialize it when a closed form does not apply.
 """
 
 from __future__ import annotations
@@ -15,6 +20,40 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import SimulationError
+
+
+@dataclass(frozen=True)
+class AddressWalk:
+    """A sequential walk: ``count`` elements of ``elem_bytes`` from ``base``.
+
+    Stands for the address array ``base + arange(count) * elem_bytes``
+    (see :meth:`materialize`) wherever an access stream is accepted.
+    """
+
+    base: int
+    count: int
+    elem_bytes: int
+
+    def __post_init__(self) -> None:
+        if self.count < 0 or self.elem_bytes <= 0:
+            raise SimulationError(
+                f"invalid address walk: count {self.count}, "
+                f"element size {self.elem_bytes}"
+            )
+
+    @property
+    def size(self) -> int:
+        """Number of addresses, like ``ndarray.size``."""
+        return self.count
+
+    @property
+    def last(self) -> int:
+        """Byte address of the last element of a non-empty walk."""
+        return self.base + (self.count - 1) * self.elem_bytes
+
+    def materialize(self) -> np.ndarray:
+        """The walk's byte addresses, in order."""
+        return self.base + np.arange(self.count, dtype=np.int64) * self.elem_bytes
 
 
 @dataclass
@@ -33,6 +72,23 @@ class Allocation:
             indices = np.arange(count, dtype=np.int64)
         addrs = self.base + np.asarray(indices, dtype=np.int64) * self.elem_bytes
         return addrs
+
+    def walk(self, start: int = 0, count: int | None = None) -> AddressWalk:
+        """The sequential walk over elements ``start .. start + count - 1``
+        (to the end of the allocation when ``count`` is None).
+
+        Its :meth:`~AddressWalk.materialize` is exactly
+        ``addresses(np.arange(start, start + count))``.
+        """
+        start = int(start)
+        total = self.num_elements
+        count = total - start if count is None else int(count)
+        if start < 0 or count < 0 or start + count > total:
+            raise SimulationError(
+                f"walk of {count} elements from {start} is outside "
+                f"{self.name!r} ({total} elements)"
+            )
+        return AddressWalk(self.base + start * self.elem_bytes, count, self.elem_bytes)
 
     @property
     def num_elements(self) -> int:
@@ -79,8 +135,9 @@ class DeviceArray:
     """A logical array with both its values and its device placement.
 
     The functional simulation computes on ``values``; the cost models
-    read ``addresses()`` so that coalescing and locality are measured on
-    the addresses a real kernel would issue.
+    read ``addresses()`` (a gather) or ``walk()`` (a sequential walk) so
+    that coalescing and locality are measured on the addresses a real
+    kernel would issue.
     """
 
     values: np.ndarray
@@ -88,6 +145,9 @@ class DeviceArray:
 
     def addresses(self, indices: np.ndarray | None = None) -> np.ndarray:
         return self.alloc.addresses(indices)
+
+    def walk(self, start: int = 0, count: int | None = None) -> AddressWalk:
+        return self.alloc.walk(start, count)
 
     @property
     def name(self) -> str:

@@ -14,16 +14,20 @@ Two coalescers live here:
 
 Both are exact (they look at real addresses) and vectorized, and each
 keeps its original sort/scan body as a ``*_reference`` twin that the
-O(n) fast path is pinned equal to.
+O(n) fast path is pinned equal to.  Both also accept an
+:class:`~repro.mem.address_space.AddressWalk` and price it in closed
+form when its sector ids are contiguous (see :func:`_walk_span`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from ..errors import SimulationError
+from .address_space import AddressWalk
 
 #: Default transaction size. Maxwell L2 moves 32-byte sectors.
 SECTOR_BYTES = 32
@@ -33,7 +37,7 @@ LINE_BYTES = 128
 WARP_SIZE = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoalesceResult:
     """Outcome of running an address stream through a coalescer.
 
@@ -46,8 +50,33 @@ class CoalesceResult:
 
     accesses: int
     transactions: int
-    line_ids: np.ndarray  # one sector id per transaction, for cache modeling
+    #: one sector id per transaction, for cache modeling (read it as
+    #: ``line_ids``; a walk's result builds the array on first read)
+    _line_ids: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
     sector_bytes: int = SECTOR_BYTES
+    #: ``(first, last)`` sector ids of a walk priced in closed form: its
+    #: ``line_ids`` are non-decreasing and cover every id in the span.
+    span: tuple[int, int] | None = None
+
+    def __init__(
+        self,
+        accesses: int,
+        transactions: int,
+        line_ids: np.ndarray | Callable[[], np.ndarray],
+        sector_bytes: int = SECTOR_BYTES,
+        span: tuple[int, int] | None = None,
+    ) -> None:
+        object.__setattr__(self, "accesses", accesses)
+        object.__setattr__(self, "transactions", transactions)
+        object.__setattr__(self, "_line_ids", line_ids)
+        object.__setattr__(self, "sector_bytes", sector_bytes)
+        object.__setattr__(self, "span", span)
+
+    @property
+    def line_ids(self) -> np.ndarray:
+        if callable(self._line_ids):
+            object.__setattr__(self, "_line_ids", self._line_ids())
+        return self._line_ids
 
     @property
     def coalescing_factor(self) -> float:
@@ -66,14 +95,19 @@ class CoalesceResult:
         Identity when the granularities already match; otherwise each
         sector id maps into the (coarser) cache line containing it.
         """
-        if line_bytes == self.sector_bytes:
+        ratio = self.sectors_per_line(line_bytes)
+        if ratio == 1:
             return self.line_ids
+        return self.line_ids // ratio
+
+    def sectors_per_line(self, line_bytes: int) -> int:
+        """Sectors per ``line_bytes`` cache line (a whole multiple)."""
         if line_bytes < self.sector_bytes or line_bytes % self.sector_bytes:
             raise SimulationError(
                 f"cache line size {line_bytes} is not a multiple of the "
                 f"transaction sector size {self.sector_bytes}"
             )
-        return self.line_ids // (line_bytes // self.sector_bytes)
+        return line_bytes // self.sector_bytes
 
 
 def _unique_per_row(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,8 +127,22 @@ def _check_sector_bytes(sector_bytes: int) -> None:
         raise SimulationError(f"sector_bytes must be a power of two, got {sector_bytes}")
 
 
+def _walk_span(walk: AddressWalk, sector_bytes: int) -> tuple[int, int] | None:
+    """First and last sector id of a walk whose ids are contiguous.
+
+    A walk from a non-negative base whose elements are no wider than a
+    sector steps its sector id by 0 or 1 per element: the ids are
+    non-decreasing and take every value from the first to the last.
+    Returns None for an empty walk or one that does not qualify.
+    """
+    if walk.count == 0 or walk.base < 0 or walk.elem_bytes > sector_bytes:
+        return None
+    shift = int(sector_bytes).bit_length() - 1
+    return walk.base >> shift, walk.last >> shift
+
+
 def coalesce_warp(
-    addresses: np.ndarray,
+    addresses: np.ndarray | AddressWalk,
     *,
     warp_size: int = WARP_SIZE,
     sector_bytes: int = SECTOR_BYTES,
@@ -115,10 +163,20 @@ def coalesce_warp(
     and the per-warp sort is skipped.  Any other stream goes to
     :func:`coalesce_warp_reference`; the sorted path returns exactly
     what the reference would.
+
+    An unmasked :class:`AddressWalk` with contiguous sector ids (see
+    :func:`_walk_span`) is priced without its addresses: warp ``w``
+    issues one transaction per sector from its first element's to its
+    last element's.  Any other walk is materialized first.
     """
     if warp_size <= 0:
         raise SimulationError(f"warp_size must be positive, got {warp_size}")
     _check_sector_bytes(sector_bytes)
+    if isinstance(addresses, AddressWalk):
+        span = _walk_span(addresses, sector_bytes)
+        if span is not None and active_mask is None:
+            return _coalesce_warp_walk(addresses, span, warp_size, sector_bytes)
+        addresses = addresses.materialize()
     addresses = np.asarray(addresses, dtype=np.int64)
     if active_mask is not None:
         active_mask = np.asarray(active_mask, dtype=bool)
@@ -147,6 +205,28 @@ def coalesce_warp(
         transactions=int(line_ids.size),
         line_ids=line_ids,
         sector_bytes=sector_bytes,
+    )
+
+
+def _coalesce_warp_walk(
+    walk: AddressWalk, span: tuple[int, int], warp_size: int, sector_bytes: int
+) -> CoalesceResult:
+    """Closed form of :func:`coalesce_warp` on a walk with contiguous ids."""
+    shift = int(sector_bytes).bit_length() - 1
+    n = walk.count
+    warp_starts = np.arange(0, n, warp_size, dtype=np.int64)
+    warp_ends = np.minimum(warp_starts + (warp_size - 1), n - 1)
+    first = (walk.base + warp_starts * walk.elem_bytes) >> shift
+    last = (walk.base + warp_ends * walk.elem_bytes) >> shift
+    transactions = int((last - first).sum()) + int(warp_starts.size)
+    return CoalesceResult(
+        accesses=n,
+        transactions=transactions,
+        line_ids=lambda: coalesce_warp(
+            walk.materialize(), warp_size=warp_size, sector_bytes=sector_bytes
+        ).line_ids,
+        sector_bytes=sector_bytes,
+        span=span,
     )
 
 
@@ -189,7 +269,7 @@ def coalesce_warp_reference(
 
 
 def coalesce_stream(
-    addresses: np.ndarray,
+    addresses: np.ndarray | AddressWalk,
     *,
     merge_window: int = 4,
     sector_bytes: int = SECTOR_BYTES,
@@ -208,10 +288,28 @@ def coalesce_stream(
     keeps, in the same order, for any input.  When no run outgrows the
     window (a sequential walk, a random gather) that is one transaction
     per run.
+
+    An :class:`AddressWalk` with contiguous sector ids (see
+    :func:`_walk_span`) whose runs fit the window — at most
+    ``ceil(sector_bytes / elem_bytes)`` elements share a sector — issues
+    one transaction per sector of its span, without its addresses.  Any
+    other walk is materialized first.
     """
     if merge_window <= 0:
         raise SimulationError(f"merge_window must be positive, got {merge_window}")
     _check_sector_bytes(sector_bytes)
+    if isinstance(addresses, AddressWalk):
+        span = _walk_span(addresses, sector_bytes)
+        if span is not None and -(-sector_bytes // addresses.elem_bytes) <= merge_window:
+            first, last = span
+            return CoalesceResult(
+                accesses=addresses.count,
+                transactions=last - first + 1,
+                line_ids=lambda: np.arange(first, last + 1, dtype=np.int64),
+                sector_bytes=sector_bytes,
+                span=span,
+            )
+        addresses = addresses.materialize()
     addresses = np.asarray(addresses, dtype=np.int64)
     n = addresses.size
     if n == 0:
@@ -273,9 +371,7 @@ def sequential_addresses(
     count: int, *, base: int = 0, elem_bytes: int = 4
 ) -> np.ndarray:
     """Addresses of a dense sequential array walk (perfectly coalescable)."""
-    if count < 0:
-        raise SimulationError(f"count must be non-negative, got {count}")
-    return base + np.arange(count, dtype=np.int64) * elem_bytes
+    return AddressWalk(base, count, elem_bytes).materialize()
 
 
 def gather_addresses(

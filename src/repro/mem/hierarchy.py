@@ -15,7 +15,7 @@ import numpy as np
 from ..obs import NULL_OBS, Observability
 from .coalescer import SECTOR_BYTES, CoalesceResult
 from .dram import DramConfig, DramModel, DramTraffic
-from .locality import estimate_hit_rate, profile_lines
+from .locality import LocalityProfile, estimate_hit_rate, profile_lines
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,30 @@ def row_hit_fraction(
     are mis-sized by the granularity ratio.
     """
     line_ids = np.asarray(line_ids, dtype=np.int64)
-    if line_ids.size < 2:
+    n = line_ids.size
+    if n < 2:
         return 0.5
     lines_per_row = max(1, row_bytes // sector_bytes)
     rows = line_ids // lines_per_row
-    return float(np.mean(rows[1:] == rows[:-1]))
+    # Exact count over exact count, correctly rounded: the same float
+    # ``np.mean`` of the bool array returns.
+    return int(np.count_nonzero(rows[1:] == rows[:-1])) / (n - 1)
+
+
+def _span_row_hit_fraction(
+    span: tuple[int, int], transactions: int, *, row_bytes: int, sector_bytes: int
+) -> float:
+    """:func:`row_hit_fraction` of non-decreasing ids covering ``span``.
+
+    Such a stream changes row exactly once per row boundary inside the
+    span, so every other consecutive pair is a row hit.
+    """
+    if transactions < 2:
+        return 0.5
+    lines_per_row = max(1, row_bytes // sector_bytes)
+    first, last = span
+    changes = last // lines_per_row - first // lines_per_row
+    return (transactions - 1 - changes) / (transactions - 1)
 
 
 @dataclass
@@ -119,7 +138,30 @@ class MemoryHierarchy:
         # with the default sector-sized L2 lines this is the identity,
         # but a 128-byte-line configuration would otherwise overstate
         # the working set (and understate hits) by the size ratio.
-        profile = profile_lines(result.cache_line_ids(self.l2_line_bytes))
+        #
+        # A walk's result carries its sector span instead: its ids are
+        # non-decreasing and cover the span, so the distinct L2 lines
+        # are the lines the span touches and the row changes are the
+        # row boundaries it crosses.
+        if result.span is None:
+            profile = profile_lines(result.cache_line_ids(self.l2_line_bytes))
+            row_hit = row_hit_fraction(
+                result.line_ids,
+                row_bytes=self.dram.row_bytes,
+                sector_bytes=result.sector_bytes,
+            )
+        else:
+            first, last = result.span
+            ratio = result.sectors_per_line(self.l2_line_bytes)
+            profile = LocalityProfile(
+                result.transactions, last // ratio - first // ratio + 1
+            )
+            row_hit = _span_row_hit_fraction(
+                result.span,
+                result.transactions,
+                row_bytes=self.dram.row_bytes,
+                sector_bytes=result.sector_bytes,
+            )
         if l2_bypass:
             hit_rate = 0.0
         else:
@@ -142,11 +184,7 @@ class MemoryHierarchy:
             l2_hits=l2_hits,
             dram_accesses=dram_accesses,
             dram_bytes=dram_accesses * result.sector_bytes,
-            row_hit_fraction=row_hit_fraction(
-                result.line_ids,
-                row_bytes=self.dram.row_bytes,
-                sector_bytes=result.sector_bytes,
-            ),
+            row_hit_fraction=row_hit,
         )
 
     def dram_time_s(self, stats: MemoryStats) -> float:

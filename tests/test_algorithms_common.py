@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms import (
     ALGORITHM_NAMES,
+    GraphOnDevice,
     SystemMode,
     cached_run,
     clear_run_cache,
@@ -15,7 +16,9 @@ from repro.algorithms import (
     warp_cull,
 )
 from repro.algorithms.common import best_effort_cull
+from repro.core.api import build_system
 from repro.errors import ExperimentError
+from repro.gpu import KernelSpec
 from repro.graph import build_csr
 from repro.graph.generators import generate_kron
 from repro.phases import Engine, PhaseKind, PhaseReport, RunReport
@@ -117,6 +120,28 @@ class TestRunner:
         # A smaller effective L2 pushes the divergent lookups to DRAM.
         assert scaled.memory().dram_accesses > unscaled.memory().dram_accesses
         assert scaled.time_s() >= unscaled.time_s()
+
+
+class TestScanTraffic:
+    def test_scan_walks_the_scratch_from_its_start(self):
+        graph = build_csr(3, np.array([1, 1]), np.array([0, 2]))
+        dev = GraphOnDevice.place(graph, build_system("TX1"), 0)
+        spec = KernelSpec("k", PhaseKind.COMPACTION, threads=2)
+        dev.add_scan_traffic(spec, 2)
+        walk = dev.scan_scratch.walk(0, 2)
+        assert [s.addresses for s in spec.accesses] == [walk, walk]
+        assert [s.is_store for s in spec.accesses] == [False, True]
+
+    def test_scan_larger_than_the_scratch_wraps_around_it(self):
+        # BFS edge frontiers with duplicates outgrow max(edges, nodes).
+        graph = build_csr(3, np.array([1, 1]), np.array([0, 2]))
+        dev = GraphOnDevice.place(graph, build_system("TX1"), 0)
+        spec = KernelSpec("k", PhaseKind.COMPACTION, threads=4)
+        size = dev.scan_scratch.size
+        dev.add_scan_traffic(spec, size + 1)
+        expected = dev.scan_scratch.addresses(np.arange(size + 1) % size)
+        for stream in spec.accesses:
+            np.testing.assert_array_equal(stream.addresses, expected)
 
 
 class TestRunReport:

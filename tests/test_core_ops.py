@@ -11,6 +11,7 @@ from repro.core import (
     bitmask_constructor,
     data_compaction,
     expanded_indices,
+    expansion_gather_indices,
     replication_compaction,
 )
 from repro.errors import OperationError
@@ -160,19 +161,68 @@ class TestExpandedIndices:
     @given(
         st.lists(
             st.tuples(
-                st.integers(min_value=0, max_value=50),
-                st.integers(min_value=0, max_value=10),
+                st.one_of(
+                    st.integers(min_value=0, max_value=50),
+                    st.integers(min_value=0, max_value=1 << 40),
+                ),
+                st.integers(min_value=0, max_value=40),
             ),
             min_size=0,
-            max_size=30,
+            max_size=60,
         )
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_matches_python_loops(self, pairs):
         idx = np.array([p[0] for p in pairs], dtype=np.int64)
         cnt = np.array([p[1] for p in pairs], dtype=np.int64)
         expected = [i + k for i, c in pairs for k in range(c)]
-        assert list(expanded_indices(idx, cnt)) == expected
+        out = expanded_indices(idx, cnt)
+        assert out.dtype == np.int64
+        assert out.tolist() == expected
+
+
+class TestExpansionGatherIndices:
+    """The checked index build shared by the expansion and its gather stream."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=30),
+                st.integers(min_value=0, max_value=10),
+                st.booleans(),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gathers_what_the_operation_gathers(self, triples):
+        data = np.arange(100, 140)
+        idx = np.array([t[0] for t in triples], dtype=np.int64)
+        cnt = np.array([t[1] for t in triples], dtype=np.int64)
+        mask = np.array([t[2] for t in triples], dtype=bool)
+        indices = expansion_gather_indices(data, idx, cnt, mask)
+        expected = [i + k for i, c, keep in triples if keep for k in range(c)]
+        assert indices.dtype == np.int64
+        assert indices.tolist() == expected
+        assert np.array_equal(
+            data[indices], access_expansion_compaction(data, idx, cnt, mask)
+        )
+
+    @pytest.mark.parametrize(
+        "data, idx, cnt",
+        [
+            (np.arange(10), np.array([0, 1]), np.array([1])),  # length mismatch
+            (np.arange(10), np.array([0]), np.array([-1])),  # negative count
+            (np.arange(10), np.array([8]), np.array([3])),  # past the end
+            (np.arange(10), np.array([-1]), np.array([1])),  # before the start
+            (np.zeros((2, 5)), np.array([0]), np.array([1])),  # not 1-D
+        ],
+    )
+    def test_rejects_what_the_operation_rejects(self, data, idx, cnt):
+        with pytest.raises(OperationError):
+            expansion_gather_indices(data, idx, cnt)
+        with pytest.raises(OperationError):
+            access_expansion_compaction(data, idx, cnt)
 
 
 class TestCompactionProperties:

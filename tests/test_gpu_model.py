@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.errors import ConfigError, SimulationError
 from repro.gpu import (
     GPU_SYSTEMS,
@@ -13,7 +14,7 @@ from repro.gpu import (
     KernelSpec,
     kernel_timing,
 )
-from repro.mem import GDDR5, MemoryStats, sequential_addresses
+from repro.mem import GDDR5, AddressWalk, MemoryStats, sequential_addresses
 from repro.phases import Engine, PhaseKind
 
 
@@ -203,3 +204,29 @@ class TestDevice:
         report = device.run(KernelSpec("empty", PhaseKind.COMPACTION, threads=0))
         assert report.time_s == pytest.approx(TX1.kernel_launch_overhead_s)
         assert report.memory.transactions == 0
+
+    @pytest.mark.parametrize("mode", ["gpu", "iru"])
+    def test_walk_prices_like_its_addresses(self, mode):
+        rng = np.random.default_rng(5)
+        walks = [
+            AddressWalk(256, 5000, 4),
+            AddressWalk(1028, 777, 8),
+            AddressWalk(0, 0, 4),
+        ]
+        gather = rng.integers(0, 1 << 20, size=3000) * 4
+
+        def spec(as_walk):
+            kernel = KernelSpec("k", PhaseKind.PROCESSING, threads=5000)
+            for walk in walks:
+                kernel.load(walk if as_walk else walk.materialize())
+            kernel.load(gather)  # an irregular stream the IRU does reorder
+            kernel.store(walks[0] if as_walk else walks[0].materialize())
+            kernel.atomic(walks[1] if as_walk else walks[1].materialize())
+            return kernel
+
+        reports = [
+            get_backend(mode).build_system("GTX980").gpu.run(spec(as_walk))
+            for as_walk in (True, False)
+        ]
+        assert reports[0] == reports[1]
+        assert reports[0].memory.transactions > 0

@@ -54,6 +54,37 @@ class TestAddressSpace:
         assert list(a.addresses(np.array([2, 0]))) == [a.base + 16, a.base]
 
 
+class TestWalk:
+    @pytest.mark.parametrize("elem_bytes", [1, 4, 8])
+    @pytest.mark.parametrize(
+        "start, count", [(0, None), (0, 10), (3, 5), (10, 0), (4, None)]
+    )
+    def test_materialize_is_the_indexed_addresses(self, elem_bytes, start, count):
+        space = AddressSpace()
+        space.alloc("pad", 3, 1)  # an allocation base that is not 0
+        a = space.alloc("a", 10, elem_bytes)
+        walk = a.walk(start, count)
+        end = a.num_elements if count is None else start + count
+        expected = a.addresses(np.arange(start, end))
+        materialized = walk.materialize()
+        assert materialized.dtype == expected.dtype
+        np.testing.assert_array_equal(materialized, expected)
+        assert walk.size == end - start
+
+    @pytest.mark.parametrize(
+        "start, count", [(-1, 2), (0, 11), (8, 3), (11, None), (2, -1)]
+    )
+    def test_out_of_range_raises(self, start, count):
+        a = AddressSpace().alloc("a", 10, 4)
+        with pytest.raises(SimulationError, match="outside 'a'"):
+            a.walk(start, count)
+
+    def test_device_array_mirrors_allocation(self):
+        arr = DeviceContext().array("x", np.arange(6))
+        assert arr.walk(1, 4) == arr.alloc.walk(1, 4)
+        assert arr.walk() == arr.alloc.walk(0, 6)
+
+
 class TestDeviceContext:
     def test_array_wraps_values(self):
         ctx = DeviceContext()

@@ -1,5 +1,7 @@
 """Tests for the exact cache simulator and the analytic locality model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,16 +9,20 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SimulationError
 from repro.mem import (
+    GDDR5,
+    AddressWalk,
     LocalityProfile,
+    MemoryHierarchy,
     SetAssociativeCache,
     estimate_hit_rate,
     estimate_hits,
     profile_lines,
     profile_lines_reference,
+    row_hit_fraction,
 )
-from repro.mem.coalescer import SECTOR_BYTES, coalesce_stream
+from repro.mem.coalescer import SECTOR_BYTES, coalesce_stream, coalesce_warp
 from repro.mem.locality import BITMAP_SPAN_FACTOR
-from tests.test_mem_coalescer import ORDERS, ordered
+from tests.test_mem_coalescer import ORDERS, ordered, walks
 
 
 class TestSetAssociativeCache:
@@ -284,6 +290,63 @@ class TestProfileLinesMatchesReference:
         assert int(ids.max()) - int(ids.min()) + 1 <= BITMAP_SPAN_FACTOR * ids.size
         self.assert_same(ids)
         assert profile_lines(ids).unique_lines == 4
+
+
+class TestHierarchyPricesWalksExactly:
+    """A walk's closed-form span gives the hierarchy the same
+    ``MemoryStats`` as its materialized addresses."""
+
+    @given(
+        walks,
+        st.sampled_from([16, 32, 64]),
+        st.sampled_from([1, 2, 4]),
+        st.sampled_from([256, 2048, 8192]),
+        st.sampled_from([1 << 10, 1 << 20]),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=16),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_process(
+        self, walk, sector_bytes, sectors_per_line, row_bytes, capacity,
+        warp_size, merge_window, l2_bypass,
+    ):
+        hierarchy = MemoryHierarchy(
+            l2_capacity_bytes=capacity,
+            dram=dataclasses.replace(GDDR5, row_bytes=row_bytes),
+            l2_line_bytes=sector_bytes * sectors_per_line,
+        )
+        for coalesce, kwargs in (
+            (coalesce_warp, dict(warp_size=warp_size)),
+            (coalesce_stream, dict(merge_window=merge_window)),
+        ):
+            kwargs["sector_bytes"] = sector_bytes
+            closed = hierarchy.process(coalesce(walk, **kwargs), l2_bypass=l2_bypass)
+            materialized = hierarchy.process(
+                coalesce(walk.materialize(), **kwargs), l2_bypass=l2_bypass
+            )
+            assert closed == materialized
+
+    def test_narrower_l2_line_rejected_on_the_span_path(self):
+        hierarchy = MemoryHierarchy(
+            l2_capacity_bytes=1 << 20, dram=GDDR5, l2_line_bytes=16
+        )
+        result = coalesce_warp(AddressWalk(0, 64, 4))
+        assert result.span is not None
+        with pytest.raises(SimulationError):
+            hierarchy.process(result)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=1 << 14), max_size=300),
+        st.sampled_from(ORDERS),
+        st.sampled_from([256, 2048]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_row_hit_fraction_is_the_bool_mean(self, raw, order, row_bytes):
+        ids = ordered(raw, order)
+        rows = ids // (row_bytes // SECTOR_BYTES)
+        expected = 0.5 if ids.size < 2 else float(np.mean(rows[1:] == rows[:-1]))
+        assert row_hit_fraction(ids, row_bytes=row_bytes) == expected
 
 
 class TestEstimatorAgainstSimulator:

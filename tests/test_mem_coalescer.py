@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.mem import (
     SECTOR_BYTES,
+    AddressWalk,
     WARP_SIZE,
     coalesce_stream,
     coalesce_stream_reference,
@@ -264,6 +265,84 @@ class TestFastPathsMatchReference:
             coalesce_stream(addrs, merge_window=merge_window),
             coalesce_stream_reference(addrs, merge_window=merge_window),
         )
+
+
+#: Walks as the stream builders make them: an allocation base (aligned
+#: to 256 bytes) plus an offset that is 0, one 4-byte element, or any
+#: byte; element sizes straddle every sector size tested.
+walks = st.builds(
+    AddressWalk,
+    base=st.builds(
+        lambda block, offset: 256 * block + offset,
+        st.integers(min_value=0, max_value=1 << 20),
+        st.one_of(st.just(0), st.just(4), st.integers(min_value=0, max_value=255)),
+    ),
+    count=st.integers(min_value=0, max_value=300),
+    elem_bytes=st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+)
+
+
+class TestWalksMatchMaterialized:
+    """A walk coalesces exactly like its materialized addresses, whether
+    it takes the closed form (``span`` set) or falls back."""
+
+    @given(walks, st.integers(min_value=1, max_value=40), st.sampled_from([16, 32, 64]))
+    @settings(max_examples=300, deadline=None)
+    def test_warp(self, walk, warp_size, sector_bytes):
+        kwargs = dict(warp_size=warp_size, sector_bytes=sector_bytes)
+        result = coalesce_warp(walk, **kwargs)
+        assert (result.span is not None) == (
+            walk.count > 0 and walk.elem_bytes <= sector_bytes
+        )
+        assert_same_result(result, coalesce_warp(walk.materialize(), **kwargs))
+
+    @given(
+        walks,
+        st.integers(min_value=1, max_value=16),
+        st.sampled_from([16, 32, 64]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stream(self, walk, merge_window, sector_bytes):
+        kwargs = dict(merge_window=merge_window, sector_bytes=sector_bytes)
+        result = coalesce_stream(walk, **kwargs)
+        per_sector = -(-sector_bytes // walk.elem_bytes)
+        assert (result.span is not None) == (
+            walk.count > 0
+            and walk.elem_bytes <= sector_bytes
+            and per_sector <= merge_window
+        )
+        assert_same_result(result, coalesce_stream(walk.materialize(), **kwargs))
+
+    @pytest.mark.parametrize("elem_bytes", [3, 12, 24])
+    @pytest.mark.parametrize("merge_window", [1, 2, 3, 11])
+    def test_element_sizes_off_the_sector_grid(self, elem_bytes, merge_window):
+        # ceil(sector / elem) elements can share a sector when the
+        # element size does not divide it.
+        for base in (0, 4, 31):
+            walk = AddressWalk(base, 100, elem_bytes)
+            assert_same_result(
+                coalesce_stream(walk, merge_window=merge_window),
+                coalesce_stream(walk.materialize(), merge_window=merge_window),
+            )
+            assert_same_result(coalesce_warp(walk), coalesce_warp(walk.materialize()))
+
+    def test_negative_base_and_masked_walks_fall_back(self):
+        walk = AddressWalk(-64, 40, 4)
+        result = coalesce_warp(walk)
+        assert result.span is None
+        assert_same_result(result, coalesce_warp_reference(walk.materialize()))
+        mask = np.arange(40) % 3 != 0
+        masked = coalesce_warp(AddressWalk(0, 40, 4), active_mask=mask)
+        assert masked.span is None
+        assert_same_result(
+            masked, coalesce_warp(sequential_addresses(40), active_mask=mask)
+        )
+
+    def test_invalid_walk_rejected(self):
+        with pytest.raises(SimulationError):
+            AddressWalk(0, -1, 4)
+        with pytest.raises(SimulationError):
+            AddressWalk(0, 4, 0)
 
 
 class TestAddressHelpers:
