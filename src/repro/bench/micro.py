@@ -65,7 +65,7 @@ from ..mem.coalescer import (
     coalesce_warp_reference,
     sequential_addresses,
 )
-from ..mem.address_space import AddressWalk
+from ..mem.address_space import AddressGather, AddressWalk
 from ..mem.dram import GDDR5
 from ..mem.dram_sim import BankedDramSim
 from ..mem.hierarchy import MemoryHierarchy, MemoryStats
@@ -395,6 +395,39 @@ def _walk_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
     return _hierarchy_checks(inputs["hierarchy"].process(coalesce_warp(addresses)))
 
 
+#: Launches that re-issue one gather, as PageRank's rank update issues
+#: its atomic gather once per iteration.
+GATHER_LAUNCHES = 20
+
+
+def _gather_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
+    """A 4-byte gather of random node ids (PageRank's atomic rank update
+    shape), priced by a GTX980-sized L2."""
+    n = 50_000 if quick else 200_000
+    rng = np.random.default_rng(2031)
+    hierarchy = MemoryHierarchy(l2_capacity_bytes=2 * 1024 * 1024, dram=GDDR5)
+    return n, {"indices": rng.integers(0, n // 8, size=n), "hierarchy": hierarchy}
+
+
+def _gather_launches(
+    inputs: Dict[str, Any], stream: Callable[[AddressGather], Any]
+) -> Dict[str, float]:
+    gather = AddressGather(1 << 20, 4, inputs["indices"])
+    total = MemoryStats()
+    for _ in range(GATHER_LAUNCHES):
+        total = total.merged(inputs["hierarchy"].process(coalesce_warp(stream(gather))))
+    return _hierarchy_checks(total)
+
+
+def _gather_run(inputs: Dict[str, Any]) -> Dict[str, float]:
+    """One descriptor priced every launch: the first pricing memoizes."""
+    return _gather_launches(inputs, lambda gather: gather)
+
+
+def _gather_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
+    return _gather_launches(inputs, lambda gather: gather.materialize())
+
+
 def _cache_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
     n = 25_000 if quick else 100_000
     rng = np.random.default_rng(2030)
@@ -558,6 +591,7 @@ MICRO_KERNELS: Tuple[MicroKernel, ...] = (
         "locality.profile.seq", _sequential_inputs, _locality_run, _locality_reference
     ),
     MicroKernel("hierarchy.walk", _walk_inputs, _walk_run, _walk_reference),
+    MicroKernel("hierarchy.gather", _gather_inputs, _gather_run, _gather_reference),
     MicroKernel("cache.lru", _cache_inputs, _cache_run, _cache_reference),
     MicroKernel("cc.labels", _cc_inputs, _cc_run, _cc_reference),
     MicroKernel("batch.compaction", _batch_inputs, _batch_run, _batch_reference),

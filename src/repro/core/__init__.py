@@ -50,10 +50,12 @@ from .ops import (
     access_expansion_compaction,
     bitmask_constructor,
     compaction_addresses,
+    contiguous_expansion_start,
     data_compaction,
     exclusive_scan,
     expanded_indices,
     expansion_gather_indices,
+    expansion_ranges,
     replication_compaction,
 )
 from .timing import ScuTiming, scu_op_timing
@@ -105,8 +107,10 @@ __all__ = [
     "access_compaction",
     "replication_compaction",
     "access_expansion_compaction",
+    "contiguous_expansion_start",
     "expanded_indices",
     "expansion_gather_indices",
+    "expansion_ranges",
     "batch_offsets",
     "concat_batch",
     "split_batch",

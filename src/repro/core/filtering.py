@@ -19,8 +19,8 @@ form makes million-element frontiers tractable in Python.
 The vectorization relies on an observation about the overwrite
 discipline: the table state seen by element *i* at its slot is fully
 determined by the *previous element mapping to the same slot*.  Sorting
-(stably) by slot therefore turns the table walk into run-boundary
-comparisons.
+(stably) by slot -- :func:`~repro.core.hashtable.slot_order` -- therefore
+turns the table walk into run-boundary comparisons.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ import numpy as np
 
 from ..errors import OperationError
 from ..obs import NULL_OBS, Observability
+from ..utils import unique_sorted
 from .config import HashTableConfig
-from .hashtable import hash_slots
+from .hashtable import hash_slots, slot_order
 
 
 def _segmented_prev_cummin(costs: np.ndarray, segment_start: np.ndarray) -> np.ndarray:
@@ -66,8 +67,7 @@ def filter_unique(
     if ids.size == 0:
         return np.zeros(0, dtype=bool)
     slots = hash_slots(ids, table.num_entries)
-    order = np.argsort(slots, kind="stable")
-    slots_sorted = slots[order]
+    order, slots_sorted = slot_order(slots, table.num_entries)
     ids_sorted = ids[order]
     new_slot = np.ones(ids.size, dtype=bool)
     new_slot[1:] = slots_sorted[1:] != slots_sorted[:-1]
@@ -76,7 +76,7 @@ def filter_unique(
     keep_sorted = new_slot | ~same_as_prev
     keep = np.empty(ids.size, dtype=bool)
     keep[order] = keep_sorted
-    _record_filter_metrics(obs, "unique", table, slots, keep)
+    _record_filter_metrics(obs, "unique", table, slots_sorted, keep)
     return keep
 
 
@@ -84,10 +84,11 @@ def _record_filter_metrics(
     obs: Observability,
     scheme: str,
     table: HashTableConfig,
-    slots: np.ndarray,
+    slots_sorted: np.ndarray,
     keep: np.ndarray,
 ) -> None:
-    """Keep rate and hash-table pressure of one filtering pass."""
+    """Keep rate and hash-table pressure of one filtering pass
+    (``slots_sorted``: the pass's non-empty slot stream, sorted)."""
     if not obs.enabled:
         return
     metrics = obs.metrics
@@ -99,7 +100,7 @@ def _record_filter_metrics(
     # Occupancy: distinct entries this pass touched vs table capacity —
     # the pressure regime the Table 2 sizes were chosen for.
     metrics.histogram("scu.hash.occupancy").observe(
-        np.unique(slots).size / table.num_entries, table=table.name
+        unique_sorted(slots_sorted).size / table.num_entries, table=table.name
     )
 
 
@@ -132,8 +133,7 @@ def filter_best_cost(
     if ids.size == 0:
         return np.zeros(0, dtype=bool)
     slots = hash_slots(ids, table.num_entries)
-    order = np.argsort(slots, kind="stable")
-    slots_sorted = slots[order]
+    order, slots_sorted = slot_order(slots, table.num_entries)
     ids_sorted = ids[order]
     costs_sorted = costs[order]
     # A "segment" is a maximal run where the entry continuously holds the
@@ -146,7 +146,7 @@ def filter_best_cost(
     keep_sorted = costs_sorted < prev_best
     keep = np.empty(ids.size, dtype=bool)
     keep[order] = keep_sorted
-    _record_filter_metrics(obs, "best_cost", table, slots, keep)
+    _record_filter_metrics(obs, "best_cost", table, slots_sorted, keep)
     return keep
 
 

@@ -26,8 +26,9 @@ import numpy as np
 
 from ..errors import OperationError
 from ..obs import NULL_OBS, Observability
+from ..utils import unique_sorted
 from .config import HashTableConfig
-from .hashtable import hash_slots
+from .hashtable import hash_slots, slot_order
 
 
 def group_order(
@@ -57,8 +58,7 @@ def group_order(
         return np.empty(0, dtype=np.int64)
 
     slots = hash_slots(blocks, table.num_entries)
-    order = np.argsort(slots, kind="stable")
-    slots_sorted = slots[order]
+    order, slots_sorted = slot_order(slots, table.num_entries)
     blocks_sorted = blocks[order]
 
     indices = np.arange(n, dtype=np.int64)
@@ -95,7 +95,7 @@ def group_order(
     # a contiguous run of the slot-sorted array already in stream order,
     # so sorting the *groups* and gathering their ragged segments is
     # equivalent to a full lexsort over all n elements.
-    group_rank = np.argsort(eviction_key, kind="stable")
+    group_rank = np.argsort(eviction_key)
     sizes = next_first - first_of_group
     sorted_sizes = sizes[group_rank]
     segment_id = np.repeat(np.arange(group_rank.size, dtype=np.int64), sorted_sizes)
@@ -109,7 +109,7 @@ def group_order(
             grouping_quality(blocks, perm), table=table.name
         )
         obs.metrics.histogram("scu.hash.occupancy").observe(
-            np.unique(slots).size / table.num_entries, table=table.name
+            unique_sorted(slots_sorted).size / table.num_entries, table=table.name
         )
     return perm
 

@@ -39,6 +39,28 @@ def hash_slots(keys: np.ndarray, num_entries: int) -> np.ndarray:
     return (mixed % np.uint64(num_entries)).astype(np.int64)
 
 
+def slot_order(slots: np.ndarray, num_entries: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of ``slots`` and the slots in that order.
+
+    ``slots`` lie in ``[0, num_entries)``.  Each slot is packed with its
+    stream position into one int64 key, ``slot << b | position``; the
+    keys are distinct, so one plain sort orders them exactly as a stable
+    argsort of the slots would, and both results unpack from the sorted
+    keys.  When a key would need more than 63 bits the stable argsort
+    runs instead.
+
+    Returns ``(order, slots_sorted)`` with ``slots_sorted = slots[order]``.
+    """
+    slots = np.asarray(slots, dtype=np.int64)
+    position_bits = max(slots.size - 1, 0).bit_length()
+    if (num_entries - 1).bit_length() + position_bits > 63:
+        order = np.argsort(slots, kind="stable")
+        return order, slots[order]
+    keys = (slots << position_bits) | np.arange(slots.size, dtype=np.int64)
+    keys.sort()
+    return keys & ((1 << position_bits) - 1), keys >> position_bits
+
+
 def table_addresses(
     slots: np.ndarray, *, base: int, bytes_per_entry: int
 ) -> np.ndarray:

@@ -143,6 +143,30 @@ def access_expansion_compaction(
     return arr[expansion_gather_indices(arr, indexes, count, bitmask)]
 
 
+def expansion_ranges(
+    data: np.ndarray,
+    indexes: np.ndarray,
+    count: np.ndarray,
+    bitmask: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(indexes, count)`` ranges :func:`access_expansion_compaction`
+    gathers from ``data`` (the bitmask applied), with every operand
+    checked."""
+    data_size = _as_1d(data, "data").size
+    idx = _as_1d(indexes, "indexes").astype(np.int64)
+    cnt = _as_1d(count, "count").astype(np.int64)
+    if idx.size != cnt.size:
+        raise OperationError(f"indexes length {idx.size} != count length {cnt.size}")
+    if cnt.size and cnt.min() < 0:
+        raise OperationError("expansion counts must be non-negative")
+    if bitmask is not None:
+        mask = _check_mask(bitmask, idx.size)
+        idx, cnt = idx[mask], cnt[mask]
+    if idx.size and (idx.min() < 0 or (idx + cnt).max() > data_size):
+        raise OperationError("expansion range out of bounds")
+    return idx, cnt
+
+
 def expansion_gather_indices(
     data: np.ndarray,
     indexes: np.ndarray,
@@ -155,22 +179,23 @@ def expansion_gather_indices(
     Callers that need both the gathered values and the gather's
     addresses build the indices once here.
     """
-    data_size = _as_1d(data, "data").size
-    idx = _as_1d(indexes, "indexes").astype(np.int64)
-    cnt = _as_1d(count, "count").astype(np.int64)
-    if idx.size != cnt.size:
-        raise OperationError(f"indexes length {idx.size} != count length {cnt.size}")
-    if cnt.size and cnt.min() < 0:
-        raise OperationError("expansion counts must be non-negative")
-    if bitmask is not None:
-        mask = _check_mask(bitmask, idx.size)
-        idx, cnt = idx[mask], cnt[mask]
-    if idx.size == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = idx + cnt
-    if idx.min() < 0 or ends.max() > data_size:
-        raise OperationError("expansion range out of bounds")
-    return expanded_indices(idx, cnt)
+    return expanded_indices(*expansion_ranges(data, indexes, count, bitmask))
+
+
+def contiguous_expansion_start(indexes: np.ndarray, count: np.ndarray) -> int | None:
+    """Where back-to-back expansion ranges start, or None.
+
+    Ranges are back-to-back when each starts where the previous one
+    ends (``indexes[k + 1] == indexes[k] + count[k]``), as the rows of
+    a CSR expansion over consecutive nodes do, zero-degree rows
+    included.  Their gather is then the element walk from
+    ``indexes[0]``.  None for no ranges or any gap or overlap.
+    """
+    idx = np.asarray(indexes, dtype=np.int64)
+    cnt = np.asarray(count, dtype=np.int64)
+    if idx.size == 0 or not np.array_equal(idx[1:], idx[:-1] + cnt[:-1]):
+        return None
+    return int(idx[0])
 
 
 def expanded_indices(indexes: np.ndarray, count: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mem.address_space import AddressWalk, DeviceArray
+from ..mem.address_space import AddressGather, AddressWalk, DeviceArray
 from ..mem.coalescer import CoalesceResult, coalesce_stream, coalesce_warp
 from ..mem.hierarchy import MemoryHierarchy, MemoryStats
 from ..obs import NULL_OBS, Observability
@@ -37,7 +37,7 @@ class ScuStream:
     """One address stream an SCU operation issues."""
 
     role: str  # "data", "bitmask", "indexes", "count", "hash", "output"
-    addresses: np.ndarray | AddressWalk
+    addresses: np.ndarray | AddressWalk | AddressGather
     is_write: bool = False
     #: hash-table traffic is random by construction; everything else the
     #: SCU touches is either sequential or a gather the coalescer sees.
@@ -98,6 +98,11 @@ def streams_memory_stats(
 
 def sequential_read(array: DeviceArray, role: str = "data") -> ScuStream:
     return ScuStream(role=role, addresses=array.walk())
+
+
+def walk_read(array: DeviceArray, start: int, count: int, role: str = "data") -> ScuStream:
+    """The walk over ``count`` elements of ``array`` from ``start``."""
+    return ScuStream(role=role, addresses=array.walk(start, count))
 
 
 def bitmask_read(mask_array: DeviceArray) -> ScuStream:

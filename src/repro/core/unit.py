@@ -45,6 +45,7 @@ from .pipeline import (
     sequential_read,
     sequential_write,
     streams_memory_stats,
+    walk_read,
 )
 from .timing import scu_op_timing
 
@@ -284,22 +285,35 @@ class StreamCompactionUnit:
         surviving elements are fetched.
         """
         mask_values = None if bitmask is None else bitmask.values
-        # One index build serves both the gathered values and the
-        # gather stream's addresses.
-        gather_indices = ops.expansion_gather_indices(
+        starts, counts = ops.expansion_ranges(
             data.values, indexes.values, count.values, mask_values
         )
-        expanded = np.asarray(data.values)[gather_indices]
-        if element_bitmask is not None:
-            element_mask = np.asarray(element_bitmask.values, dtype=bool)
-            if element_mask.size != expanded.size:
-                raise OperationError(
-                    f"element bitmask length {element_mask.size} != "
-                    f"expanded length {expanded.size}"
-                )
-            expanded = expanded[element_mask]
-            gather_indices = gather_indices[element_mask]
-        expanded = self._apply_reorder(expanded, reorder)
+        # Back-to-back ranges that nothing filters or reorders are one
+        # walk over the data: its values are a slice and its fetches a
+        # sequential stream.
+        first = None
+        if bitmask is None and element_bitmask is None and reorder is None:
+            first = ops.contiguous_expansion_start(starts, counts)
+        if first is not None:
+            total = int(counts.sum())
+            expanded = np.array(data.values[first : first + total])
+            data_read = walk_read(data, first, total)
+        else:
+            # One index build serves both the gathered values and the
+            # gather stream's addresses.
+            gather_indices = ops.expanded_indices(starts, counts)
+            expanded = np.asarray(data.values)[gather_indices]
+            if element_bitmask is not None:
+                element_mask = np.asarray(element_bitmask.values, dtype=bool)
+                if element_mask.size != expanded.size:
+                    raise OperationError(
+                        f"element bitmask length {element_mask.size} != "
+                        f"expanded length {expanded.size}"
+                    )
+                expanded = expanded[element_mask]
+                gather_indices = gather_indices[element_mask]
+            expanded = self._apply_reorder(expanded, reorder)
+            data_read = gather_read(data, gather_indices)
         out_array = self._output(out, expanded)
         streams = [
             sequential_read(indexes, role="indexes"),
@@ -307,7 +321,7 @@ class StreamCompactionUnit:
             *([] if bitmask is None else [bitmask_read(bitmask)]),
             *([] if element_bitmask is None else [bitmask_read(element_bitmask)]),
             *self._reorder_streams(reorder),
-            gather_read(data, gather_indices),
+            data_read,
             sequential_write(out_array),
         ]
         # Pipeline occupancy: with an element bitmask the unit still

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..mem.address_space import AddressWalk
+from ..mem.address_space import AddressGather, AddressWalk
 from ..mem.coalescer import coalesce_warp
 from ..mem.hierarchy import MemoryHierarchy, MemoryStats
 from ..obs import NULL_OBS, Observability
@@ -87,7 +87,10 @@ class GpuDevice:
                 ):
                     # The unit bypasses regular (already-ordered) streams;
                     # only irregular ones enter the buffer and pay its cost.
-                    # A walk is non-decreasing, so it never enters.
+                    # A walk is non-decreasing, so it never enters.  A
+                    # gather enters as its addresses.
+                    if isinstance(addresses, AddressGather):
+                        addresses = addresses.materialize()
                     intercepted = self.reorderer.intercept(
                         addresses, active_mask=active_mask
                     )

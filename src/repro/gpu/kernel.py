@@ -15,13 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import SimulationError
-from ..mem.address_space import AddressWalk
+from ..mem.address_space import AddressGather, AddressWalk
 from ..phases import PhaseKind
 
 
-def _stream(addresses: np.ndarray | AddressWalk) -> np.ndarray | AddressWalk:
-    """A walk is carried as-is; anything else becomes int64 addresses."""
-    if isinstance(addresses, AddressWalk):
+def _stream(
+    addresses: np.ndarray | AddressWalk | AddressGather,
+) -> np.ndarray | AddressWalk | AddressGather:
+    """A walk or a gather is carried as-is; anything else becomes int64
+    addresses."""
+    if isinstance(addresses, (AddressWalk, AddressGather)):
         return addresses
     return np.asarray(addresses, dtype=np.int64)
 
@@ -30,8 +33,9 @@ def _stream(addresses: np.ndarray | AddressWalk) -> np.ndarray | AddressWalk:
 class AccessStream:
     """One global-memory access pattern issued by a kernel."""
 
-    #: byte address per thread/element in thread order, or a sequential walk
-    addresses: np.ndarray | AddressWalk
+    #: byte address per thread/element in thread order, a sequential
+    #: walk or a gather descriptor
+    addresses: np.ndarray | AddressWalk | AddressGather
     is_store: bool = False
     is_atomic: bool = False
     l2_bypass: bool = False  # streaming data not worth caching
@@ -71,7 +75,7 @@ class KernelSpec:
 
     def load(
         self,
-        addresses: np.ndarray | AddressWalk,
+        addresses: np.ndarray | AddressWalk | AddressGather,
         *,
         l2_bypass: bool = False,
         active_mask: np.ndarray | None = None,
@@ -87,7 +91,7 @@ class KernelSpec:
 
     def store(
         self,
-        addresses: np.ndarray | AddressWalk,
+        addresses: np.ndarray | AddressWalk | AddressGather,
         *,
         l2_bypass: bool = False,
         active_mask: np.ndarray | None = None,
@@ -102,7 +106,9 @@ class KernelSpec:
         )
         return self
 
-    def atomic(self, addresses: np.ndarray | AddressWalk) -> "KernelSpec":
+    def atomic(
+        self, addresses: np.ndarray | AddressWalk | AddressGather
+    ) -> "KernelSpec":
         """Atomic read-modify-write on the given addresses."""
         self.accesses.append(
             AccessStream(

@@ -1,6 +1,7 @@
 """Memory-system substrate: coalescing, caches, DRAM, hierarchy."""
 
 from .address_space import (
+    AddressGather,
     AddressSpace,
     AddressWalk,
     Allocation,
@@ -32,6 +33,7 @@ from .locality import (
 )
 
 __all__ = [
+    "AddressGather",
     "AddressSpace",
     "AddressWalk",
     "Allocation",

@@ -10,7 +10,11 @@ aligned, non-overlapping regions.
 A walk over consecutive elements of one array is described by an
 :class:`AddressWalk` (base, count, element size) rather than by its
 addresses: the coalescers and the hierarchy price such a walk in closed
-form and only materialize it when a closed form does not apply.
+form and only materialize it when a closed form does not apply.  A
+gather that a kernel repeats unchanged is described by an
+:class:`AddressGather` (base, element size, indices): it is priced
+through its addresses once, and every later pricing reads the result
+its descriptor memoized.
 """
 
 from __future__ import annotations
@@ -56,6 +60,44 @@ class AddressWalk:
         return self.base + np.arange(self.count, dtype=np.int64) * self.elem_bytes
 
 
+@dataclass(frozen=True, eq=False)
+class AddressGather:
+    """A gather: the elements ``indices`` of ``elem_bytes`` each from ``base``.
+
+    Stands for the address array ``base + indices * elem_bytes`` (see
+    :meth:`materialize`) wherever an access stream is accepted.  The
+    indices are the descriptor's own read-only copy, so pricing cannot
+    change after construction; the coalescers and the hierarchy store
+    what they priced in :attr:`memo`, keyed by their pricing parameters,
+    and a later pricing with the same parameters reads it back.
+    """
+
+    base: int
+    elem_bytes: int
+    indices: np.ndarray
+    memo: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.elem_bytes <= 0:
+            raise SimulationError(f"invalid address gather: element size {self.elem_bytes}")
+        indices = np.array(self.indices, dtype=np.int64)
+        if indices.ndim != 1:
+            raise SimulationError(
+                f"gather indices must be one-dimensional, got shape {indices.shape}"
+            )
+        indices.flags.writeable = False
+        object.__setattr__(self, "indices", indices)
+
+    @property
+    def size(self) -> int:
+        """Number of addresses, like ``ndarray.size``."""
+        return int(self.indices.size)
+
+    def materialize(self) -> np.ndarray:
+        """The gather's byte addresses, in order."""
+        return self.base + self.indices * self.elem_bytes
+
+
 @dataclass
 class Allocation:
     """One array placed in device memory."""
@@ -89,6 +131,21 @@ class Allocation:
                 f"{self.name!r} ({total} elements)"
             )
         return AddressWalk(self.base + start * self.elem_bytes, count, self.elem_bytes)
+
+    def gather(self, indices: np.ndarray) -> AddressGather:
+        """The gather of the elements ``indices``, checked against the
+        allocation once.
+
+        Its :meth:`~AddressGather.materialize` is exactly
+        ``addresses(indices)``.
+        """
+        gather = AddressGather(self.base, self.elem_bytes, indices)
+        total = self.num_elements
+        if gather.size and (gather.indices.min() < 0 or gather.indices.max() >= total):
+            raise SimulationError(
+                f"gather index out of range for {self.name!r} ({total} elements)"
+            )
+        return gather
 
     @property
     def num_elements(self) -> int:
@@ -135,9 +192,9 @@ class DeviceArray:
     """A logical array with both its values and its device placement.
 
     The functional simulation computes on ``values``; the cost models
-    read ``addresses()`` (a gather) or ``walk()`` (a sequential walk) so
-    that coalescing and locality are measured on the addresses a real
-    kernel would issue.
+    read ``addresses()`` (a gather's addresses), ``gather()`` (a gather
+    descriptor) or ``walk()`` (a sequential walk) so that coalescing and
+    locality are measured on the addresses a real kernel would issue.
     """
 
     values: np.ndarray
@@ -148,6 +205,9 @@ class DeviceArray:
 
     def walk(self, start: int = 0, count: int | None = None) -> AddressWalk:
         return self.alloc.walk(start, count)
+
+    def gather(self, indices: np.ndarray) -> AddressGather:
+        return self.alloc.gather(indices)
 
     @property
     def name(self) -> str:

@@ -16,7 +16,10 @@ Both are exact (they look at real addresses) and vectorized, and each
 keeps its original sort/scan body as a ``*_reference`` twin that the
 O(n) fast path is pinned equal to.  Both also accept an
 :class:`~repro.mem.address_space.AddressWalk` and price it in closed
-form when its sector ids are contiguous (see :func:`_walk_span`).
+form when its sector ids are contiguous (see :func:`_walk_span`), and
+an :class:`~repro.mem.address_space.AddressGather`, which they price
+through its addresses once per set of parameters (see
+:func:`_price_gather`).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import SimulationError
-from .address_space import AddressWalk
+from .address_space import AddressGather, AddressWalk
 
 #: Default transaction size. Maxwell L2 moves 32-byte sectors.
 SECTOR_BYTES = 32
@@ -35,6 +38,21 @@ SECTOR_BYTES = 32
 LINE_BYTES = 128
 #: Threads per warp on every NVIDIA architecture the paper targets.
 WARP_SIZE = 32
+
+
+@dataclass
+class GatherPricing:
+    """What pricing one gather with one coalescer configuration gave.
+
+    Lives in the gather's memo.  ``hierarchy`` is filled by
+    :meth:`~repro.mem.hierarchy.MemoryHierarchy.process`: it maps that
+    hierarchy's pricing parameters to the unique L2 lines and row-hit
+    fraction of the transaction stream.
+    """
+
+    accesses: int
+    transactions: int
+    hierarchy: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True, init=False)
@@ -57,6 +75,8 @@ class CoalesceResult:
     #: ``(first, last)`` sector ids of a walk priced in closed form: its
     #: ``line_ids`` are non-decreasing and cover every id in the span.
     span: tuple[int, int] | None = None
+    #: the memo entry of the gather this result priced, if any
+    pricing: GatherPricing | None = None
 
     def __init__(
         self,
@@ -65,12 +85,14 @@ class CoalesceResult:
         line_ids: np.ndarray | Callable[[], np.ndarray],
         sector_bytes: int = SECTOR_BYTES,
         span: tuple[int, int] | None = None,
+        pricing: GatherPricing | None = None,
     ) -> None:
         object.__setattr__(self, "accesses", accesses)
         object.__setattr__(self, "transactions", transactions)
         object.__setattr__(self, "_line_ids", line_ids)
         object.__setattr__(self, "sector_bytes", sector_bytes)
         object.__setattr__(self, "span", span)
+        object.__setattr__(self, "pricing", pricing)
 
     @property
     def line_ids(self) -> np.ndarray:
@@ -141,8 +163,41 @@ def _walk_span(walk: AddressWalk, sector_bytes: int) -> tuple[int, int] | None:
     return walk.base >> shift, walk.last >> shift
 
 
+def _price_gather(
+    gather: AddressGather,
+    key: tuple,
+    sector_bytes: int,
+    coalesce: Callable[[np.ndarray], CoalesceResult],
+) -> CoalesceResult:
+    """Coalesce a gather through its addresses once per ``key``.
+
+    The first pricing under ``key`` (the coalescer and its parameters)
+    runs ``coalesce`` on the materialized addresses and memoizes the
+    counts on the gather; later ones return them in O(1).  Their
+    ``line_ids`` are rebuilt only if read, so the memo holds no id
+    array.
+    """
+
+    def rebuild_line_ids() -> np.ndarray:
+        return coalesce(gather.materialize()).line_ids
+
+    pricing = gather.memo.get(key)
+    line_ids: np.ndarray | Callable[[], np.ndarray] = rebuild_line_ids
+    if pricing is None:
+        result = coalesce(gather.materialize())
+        pricing = gather.memo[key] = GatherPricing(result.accesses, result.transactions)
+        line_ids = result.line_ids
+    return CoalesceResult(
+        accesses=pricing.accesses,
+        transactions=pricing.transactions,
+        line_ids=line_ids,
+        sector_bytes=sector_bytes,
+        pricing=pricing,
+    )
+
+
 def coalesce_warp(
-    addresses: np.ndarray | AddressWalk,
+    addresses: np.ndarray | AddressWalk | AddressGather,
     *,
     warp_size: int = WARP_SIZE,
     sector_bytes: int = SECTOR_BYTES,
@@ -167,7 +222,9 @@ def coalesce_warp(
     An unmasked :class:`AddressWalk` with contiguous sector ids (see
     :func:`_walk_span`) is priced without its addresses: warp ``w``
     issues one transaction per sector from its first element's to its
-    last element's.  Any other walk is materialized first.
+    last element's.  Any other walk is materialized first.  An unmasked
+    :class:`AddressGather` is priced once per parameter set (see
+    :func:`_price_gather`); a masked one is materialized.
     """
     if warp_size <= 0:
         raise SimulationError(f"warp_size must be positive, got {warp_size}")
@@ -176,6 +233,15 @@ def coalesce_warp(
         span = _walk_span(addresses, sector_bytes)
         if span is not None and active_mask is None:
             return _coalesce_warp_walk(addresses, span, warp_size, sector_bytes)
+        addresses = addresses.materialize()
+    elif isinstance(addresses, AddressGather):
+        if active_mask is None:
+            return _price_gather(
+                addresses,
+                ("warp", warp_size, sector_bytes),
+                sector_bytes,
+                lambda a: coalesce_warp(a, warp_size=warp_size, sector_bytes=sector_bytes),
+            )
         addresses = addresses.materialize()
     addresses = np.asarray(addresses, dtype=np.int64)
     if active_mask is not None:
@@ -269,7 +335,7 @@ def coalesce_warp_reference(
 
 
 def coalesce_stream(
-    addresses: np.ndarray | AddressWalk,
+    addresses: np.ndarray | AddressWalk | AddressGather,
     *,
     merge_window: int = 4,
     sector_bytes: int = SECTOR_BYTES,
@@ -293,7 +359,8 @@ def coalesce_stream(
     :func:`_walk_span`) whose runs fit the window — at most
     ``ceil(sector_bytes / elem_bytes)`` elements share a sector — issues
     one transaction per sector of its span, without its addresses.  Any
-    other walk is materialized first.
+    other walk is materialized first.  An :class:`AddressGather` is
+    priced once per parameter set (see :func:`_price_gather`).
     """
     if merge_window <= 0:
         raise SimulationError(f"merge_window must be positive, got {merge_window}")
@@ -310,6 +377,15 @@ def coalesce_stream(
                 span=span,
             )
         addresses = addresses.materialize()
+    elif isinstance(addresses, AddressGather):
+        return _price_gather(
+            addresses,
+            ("stream", merge_window, sector_bytes),
+            sector_bytes,
+            lambda a: coalesce_stream(
+                a, merge_window=merge_window, sector_bytes=sector_bytes
+            ),
+        )
     addresses = np.asarray(addresses, dtype=np.int64)
     n = addresses.size
     if n == 0:

@@ -126,7 +126,8 @@ class MemoryHierarchy:
         """Turn coalesced transactions into hierarchy-level statistics.
 
         Args:
-            result: the coalescer output (real transaction line ids).
+            result: the coalescer output (real transaction line ids, a
+                walk's span, or a gather's memo entry).
             l2_bypass: model streaming accesses that are not worth
                 caching (the GPU marks such loads; the SCU's bulk
                 sequential writes behave this way too).
@@ -142,14 +143,21 @@ class MemoryHierarchy:
         # A walk's result carries its sector span instead: its ids are
         # non-decreasing and cover the span, so the distinct L2 lines
         # are the lines the span touches and the row changes are the
-        # row boundaries it crosses.
-        if result.span is None:
+        # row boundaries it crosses.  A gather's result carries its memo
+        # entry: what this hierarchy measured on it the first time.
+        pricing = result.pricing
+        memo_key = (self.l2_line_bytes, self.dram.row_bytes)
+        if pricing is not None and memo_key in pricing.hierarchy:
+            profile, row_hit = pricing.hierarchy[memo_key]
+        elif result.span is None:
             profile = profile_lines(result.cache_line_ids(self.l2_line_bytes))
             row_hit = row_hit_fraction(
                 result.line_ids,
                 row_bytes=self.dram.row_bytes,
                 sector_bytes=result.sector_bytes,
             )
+            if pricing is not None:
+                pricing.hierarchy[memo_key] = (profile, row_hit)
         else:
             first, last = result.span
             ratio = result.sectors_per_line(self.l2_line_bytes)

@@ -42,8 +42,7 @@ class LocalityProfile:
 #: the stream length: one bool per id in the span then takes at most the
 #: int64 input's own bytes.  The path also builds an n-element int64
 #: array of offsets into the span, so its extra memory is at most twice
-#: the input's bytes (``np.unique`` copies the input once, plus a hash
-#: table or sort over it).
+#: the input's bytes (the sort it replaces copies the input once).
 BITMAP_SPAN_FACTOR = 8
 
 
@@ -60,22 +59,24 @@ def profile_lines(line_ids: np.ndarray) -> LocalityProfile:
     * ids inside a span of at most ``BITMAP_SPAN_FACTOR x n`` (a gather
       into one allocation): mark each id in a bool bitmap over the span
       and count the marks;
-    * anything else (sparse ids over a wide span): ``np.unique``.
+    * anything else (sparse ids over a wide span): sort them, then
+      count as for non-decreasing ids.
     """
     line_ids = np.asarray(line_ids, dtype=np.int64)
     n = line_ids.size
     if n == 0:
         return LocalityProfile(0, 0)
     head, tail = line_ids[:-1], line_ids[1:]
-    if not (tail < head).any():
-        return LocalityProfile(n, 1 + int(np.count_nonzero(tail != head)))
-    low = int(line_ids.min())
-    span = int(line_ids.max()) - low + 1
-    if span <= BITMAP_SPAN_FACTOR * n:
-        seen = np.zeros(span, dtype=bool)
-        seen[line_ids - low] = True
-        return LocalityProfile(n, int(np.count_nonzero(seen)))
-    return LocalityProfile(n, int(np.unique(line_ids).size))
+    if (tail < head).any():
+        low = int(line_ids.min())
+        span = int(line_ids.max()) - low + 1
+        if span <= BITMAP_SPAN_FACTOR * n:
+            seen = np.zeros(span, dtype=bool)
+            seen[line_ids - low] = True
+            return LocalityProfile(n, int(np.count_nonzero(seen)))
+        line_ids = np.sort(line_ids)
+        head, tail = line_ids[:-1], line_ids[1:]
+    return LocalityProfile(n, 1 + int(np.count_nonzero(tail != head)))
 
 
 def profile_lines_reference(line_ids: np.ndarray) -> LocalityProfile:

@@ -44,6 +44,21 @@ def as_float_array(values: Iterable[float] | np.ndarray, name: str = "array") ->
     return arr
 
 
+def unique_sorted(ordered: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array, each once.
+
+    With ``np.sort`` in front this is ``np.unique``: keep each value that
+    differs from its left neighbour.  On the id streams of a simulation
+    the sort is several times faster than NumPy 2's hash-based
+    ``np.unique``.
+    """
+    ordered = np.asarray(ordered)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 def chunked(seq: Sequence, size: int) -> Iterable[Sequence]:
     """Yield ``seq`` in chunks of at most ``size`` elements."""
     if size <= 0:

@@ -173,6 +173,11 @@ class TestCommittedBaseline:
         record = baseline.record_map()[("hierarchy.walk", 50_000)]
         assert record.speedup is not None and record.speedup >= 2.0
 
+    def test_baseline_proves_gather_memo_speedup(self):
+        baseline = MicroArtifact.load("benchmarks/baseline_micro.json")
+        record = baseline.record_map()[("hierarchy.gather", 50_000)]
+        assert record.speedup is not None and record.speedup >= 2.0
+
     def test_current_checksums_match_baseline(self, quick_artifact):
         baseline = MicroArtifact.load("benchmarks/baseline_micro.json")
         report = compare_micro_artifacts(

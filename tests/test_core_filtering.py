@@ -14,11 +14,18 @@ from repro.core import (
     filter_unique_reference,
     hash_slots,
 )
+from repro.core.hashtable import slot_order
 from repro.errors import OperationError
 
 SMALL_TABLE = HashTableConfig("t-small", capacity_bytes=8 * 4, ways=1, bytes_per_entry=4)
 BIG_TABLE = HashTableConfig("t-big", capacity_bytes=64 * 1024, ways=16, bytes_per_entry=4)
 COST_TABLE = HashTableConfig("t-cost", capacity_bytes=64 * 1024, ways=16, bytes_per_entry=8)
+
+#: Table sizes: small ones that collide often, and any size up to 2^31
+#: entries (slots then take every bit ``hash_slots`` produces).
+TABLE_ENTRIES = st.one_of(
+    st.sampled_from([1, 2, 8, 64, 1024]), st.integers(min_value=1, max_value=1 << 31)
+)
 
 
 class TestHashSlots:
@@ -40,6 +47,38 @@ class TestHashSlots:
     def test_rejects_empty_table(self):
         with pytest.raises(OperationError):
             hash_slots(np.array([1]), 0)
+
+
+class TestSlotOrder:
+    @given(st.data(), st.integers(min_value=1, max_value=1 << 31))
+    @settings(max_examples=100, deadline=None)
+    def test_is_the_stable_argsort(self, data, num_entries):
+        slots = np.asarray(
+            data.draw(
+                st.lists(
+                    st.one_of(
+                        st.integers(min_value=0, max_value=min(num_entries - 1, 5)),
+                        st.integers(min_value=0, max_value=num_entries - 1),
+                    ),
+                    max_size=300,
+                )
+            ),
+            dtype=np.int64,
+        )
+        order, slots_sorted = slot_order(slots, num_entries)
+        expected = np.argsort(slots, kind="stable")
+        np.testing.assert_array_equal(order, expected)
+        np.testing.assert_array_equal(slots_sorted, slots[expected])
+
+    @pytest.mark.parametrize("slot_bits", [60, 61, 62])
+    def test_keys_of_63_bits_pack_and_wider_ones_fall_back(self, slot_bits):
+        # 5 positions take 3 bits: 60 slot bits pack into 63, 61 would
+        # reach the sign bit and 62 overflow, so those take the argsort.
+        top = (1 << slot_bits) - 1
+        slots = np.array([top, 7, top, 0, 7], dtype=np.int64)
+        order, slots_sorted = slot_order(slots, 1 << slot_bits)
+        assert order.tolist() == [3, 1, 4, 0, 2]
+        assert slots_sorted.tolist() == [0, 7, 7, top, top]
 
 
 class TestFilterUnique:
@@ -73,7 +112,7 @@ class TestFilterUnique:
 
     @given(
         st.lists(st.integers(min_value=0, max_value=30), min_size=0, max_size=300),
-        st.sampled_from([1, 2, 8, 64, 1024]),
+        TABLE_ENTRIES,
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_reference(self, raw, entries):
@@ -123,7 +162,7 @@ class TestFilterBestCost:
             min_size=0,
             max_size=300,
         ),
-        st.sampled_from([1, 2, 8, 64, 1024]),
+        TABLE_ENTRIES,
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_reference(self, pairs, entries):

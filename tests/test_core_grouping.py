@@ -53,7 +53,10 @@ class TestGroupOrder:
 
     @given(
         st.lists(st.integers(min_value=0, max_value=25), min_size=0, max_size=300),
-        st.sampled_from([1, 2, 4, 32, 512]),
+        st.one_of(
+            st.sampled_from([1, 2, 4, 32, 512]),
+            st.integers(min_value=1, max_value=1 << 31),
+        ),
         st.sampled_from([1, 2, 8]),
     )
     @settings(max_examples=100, deadline=None)

@@ -9,6 +9,7 @@ from repro.core import (
     access_compaction,
     access_expansion_compaction,
     bitmask_constructor,
+    contiguous_expansion_start,
     data_compaction,
     expanded_indices,
     expansion_gather_indices,
@@ -223,6 +224,38 @@ class TestExpansionGatherIndices:
             expansion_gather_indices(data, idx, cnt)
         with pytest.raises(OperationError):
             access_expansion_compaction(data, idx, cnt)
+
+
+class TestContiguousExpansionStart:
+    @pytest.mark.parametrize(
+        "idx, cnt, start",
+        [
+            ([0, 3, 3, 5], [3, 0, 2, 1], 0),  # a zero-degree row in the middle
+            ([4, 4, 4], [0, 0, 2], 4),  # leading zero-degree rows
+            ([7], [0], 7),
+            ([0, 3], [2, 1], None),  # a gap
+            ([0, 1], [2, 1], None),  # an overlap
+            ([3, 0], [1, 3], None),  # out of order
+            ([], [], None),  # no ranges
+        ],
+    )
+    def test_start(self, idx, cnt, start):
+        assert contiguous_expansion_start(np.array(idx), np.array(cnt)) == start
+
+    @given(st.lists(st.integers(min_value=0, max_value=6), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_back_to_back_ranges_gather_a_walk(self, degrees):
+        cnt = np.asarray(degrees, dtype=np.int64)
+        idx = 5 + np.concatenate([[0], np.cumsum(cnt)[:-1]]).astype(np.int64)
+        start = contiguous_expansion_start(idx[: cnt.size], cnt)
+        if cnt.size == 0:
+            assert start is None
+        else:
+            assert start == 5
+            assert np.array_equal(
+                expanded_indices(idx[: cnt.size], cnt),
+                np.arange(5, 5 + cnt.sum()),
+            )
 
 
 class TestCompactionProperties:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import repro.core.unit as unit
 from repro.core import build_system
+from repro.core.pipeline import walk_read
 from repro.errors import ConfigError, OperationError
 from repro.phases import Engine, PhaseKind
 
@@ -86,6 +88,51 @@ class TestOperationsThroughUnit:
             edges, offsets, degrees, reorder=perm
         )
         assert list(out.values) == [13, 12, 11, 10]
+
+    def test_contiguous_expansion_reads_a_walk(self, system, monkeypatch):
+        # A CSR expansion over consecutive rows, zero-degree rows
+        # included, is one walk over the edge array.
+        walks = []
+        monkeypatch.setattr(
+            unit, "walk_read", lambda *args: walks.append(args) or walk_read(*args)
+        )
+        edges = place(system, "edges", [1, 2, 3, 4, 5, 5, 2, 6])
+        offsets = place(system, "off", [1, 1, 4, 4, 6])
+        degrees = place(system, "deg", [0, 3, 0, 2, 0])
+        out, report = system.scu.access_expansion_compaction(edges, offsets, degrees)
+        assert [args[1:] for args in walks] == [(1, 5)]
+        # The index path (detection off) gathers and prices the same.
+        monkeypatch.setattr(unit.ops, "contiguous_expansion_start", lambda *args: None)
+        indexed, indexed_report = system.scu.access_expansion_compaction(
+            edges, offsets, degrees
+        )
+        assert len(walks) == 1
+        assert out.values.tolist() == indexed.values.tolist() == [2, 3, 4, 5, 5]
+        assert report == indexed_report
+
+    @pytest.mark.parametrize("filtered", ["bitmask", "element_bitmask"])
+    def test_filtered_expansion_keeps_the_index_path(self, system, monkeypatch, filtered):
+        monkeypatch.setattr(
+            unit, "walk_read", lambda *args: pytest.fail("a filtered expansion walked")
+        )
+        edges = place(system, "edges", [1, 2, 3, 4, 5])
+        offsets = place(system, "off", [0, 2])
+        degrees = place(system, "deg", [2, 3])
+        if filtered == "bitmask":
+            kwargs = {"bitmask": system.ctx.bitmask("m", np.array([True, True]))}
+        else:
+            kwargs = {"element_bitmask": system.ctx.bitmask("m", np.ones(5, dtype=bool))}
+        out, _ = system.scu.access_expansion_compaction(
+            edges, offsets, degrees, **kwargs
+        )
+        assert out.values.tolist() == [1, 2, 3, 4, 5]
+
+    def test_contiguous_expansion_checks_its_ranges(self, system):
+        edges = place(system, "edges", [1, 2, 3])
+        offsets = place(system, "off", [0, 2])
+        degrees = place(system, "deg", [2, 2])  # back to back, past the end
+        with pytest.raises(OperationError, match="out of bounds"):
+            system.scu.access_expansion_compaction(edges, offsets, degrees)
 
     def test_reorder_length_checked(self, system):
         data = place(system, "d", [1, 2, 3])

@@ -14,7 +14,13 @@ from repro.gpu import (
     KernelSpec,
     kernel_timing,
 )
-from repro.mem import GDDR5, AddressWalk, MemoryStats, sequential_addresses
+from repro.mem import (
+    GDDR5,
+    AddressGather,
+    AddressWalk,
+    MemoryStats,
+    sequential_addresses,
+)
 from repro.phases import Engine, PhaseKind
 
 
@@ -230,3 +236,25 @@ class TestDevice:
         ]
         assert reports[0] == reports[1]
         assert reports[0].memory.transactions > 0
+
+    @pytest.mark.parametrize("mode", ["gpu", "iru"])
+    def test_gather_prices_like_its_addresses(self, mode):
+        rng = np.random.default_rng(6)
+        loaded = AddressGather(1 << 12, 4, rng.integers(0, 1 << 16, size=3000))
+        updated = AddressGather(1 << 20, 8, rng.integers(0, 1 << 10, size=4000))
+
+        def spec(as_gather):
+            kernel = KernelSpec("k", PhaseKind.PROCESSING, threads=4000)
+            # a load the IRU reorders, and an atomic it never sees
+            kernel.load(loaded if as_gather else loaded.materialize())
+            kernel.atomic(updated if as_gather else updated.materialize())
+            return kernel
+
+        gpu = get_backend(mode).build_system("GTX980").gpu
+        expected = gpu.run(spec(False))
+        assert expected.memory.transactions > 0
+        for _ in range(2):  # the second launch prices from the memo
+            assert gpu.run(spec(True)) == expected
+        # the IRU takes the load as its addresses, so only the GPU memoizes it
+        assert bool(loaded.memo) == (mode == "gpu")
+        assert updated.memo

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.mem import AddressSpace, DeviceContext
+from repro.mem import AddressGather, AddressSpace, DeviceContext, coalesce_warp
 
 
 class TestAddressSpace:
@@ -83,6 +83,55 @@ class TestWalk:
         arr = DeviceContext().array("x", np.arange(6))
         assert arr.walk(1, 4) == arr.alloc.walk(1, 4)
         assert arr.walk() == arr.alloc.walk(0, 6)
+
+
+class TestGather:
+    @pytest.mark.parametrize("elem_bytes", [1, 4, 8])
+    @pytest.mark.parametrize("indices", [[], [0], [9, 0, 3, 3, 7], list(range(10))])
+    def test_materialize_is_the_indexed_addresses(self, elem_bytes, indices):
+        space = AddressSpace()
+        space.alloc("pad", 3, 1)  # an allocation base that is not 0
+        a = space.alloc("a", 10, elem_bytes)
+        gather = a.gather(np.asarray(indices, dtype=np.int32))
+        expected = a.addresses(np.asarray(indices))
+        materialized = gather.materialize()
+        assert materialized.dtype == expected.dtype
+        np.testing.assert_array_equal(materialized, expected)
+        assert gather.size == len(indices)
+
+    @pytest.mark.parametrize("indices", [[-1], [0, 10], [3, 11, 2]])
+    def test_out_of_range_raises(self, indices):
+        a = AddressSpace().alloc("a", 10, 4)
+        with pytest.raises(SimulationError, match="out of range for 'a'"):
+            a.gather(np.asarray(indices))
+
+    def test_malformed_descriptor_rejected(self):
+        with pytest.raises(SimulationError):
+            AddressGather(0, 0, np.arange(3))
+        with pytest.raises(SimulationError):
+            AddressSpace().alloc("a", 10, 4).gather(np.zeros((2, 2), dtype=np.int64))
+
+    def test_source_mutation_does_not_change_pricing(self):
+        a = AddressSpace().alloc("a", 4096, 4)
+        source = np.arange(0, 4096, 37, dtype=np.int64)
+        expected = coalesce_warp(a.addresses(source))
+        gather = a.gather(source)
+        source[:] = 0
+        with pytest.raises(ValueError):
+            gather.indices[0] = 1  # the descriptor's copy is read-only
+        result = coalesce_warp(gather)
+        assert (result.accesses, result.transactions) == (
+            expected.accesses,
+            expected.transactions,
+        )
+        np.testing.assert_array_equal(result.line_ids, expected.line_ids)
+
+    def test_device_array_mirrors_allocation(self):
+        arr = DeviceContext().array("x", np.arange(6))
+        np.testing.assert_array_equal(
+            arr.gather(np.array([5, 1])).materialize(),
+            arr.alloc.gather(np.array([5, 1])).materialize(),
+        )
 
 
 class TestDeviceContext:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError, SimulationError
 from repro.mem import (
     GDDR5,
+    AddressGather,
     AddressWalk,
     LocalityProfile,
     MemoryHierarchy,
@@ -22,7 +23,8 @@ from repro.mem import (
 )
 from repro.mem.coalescer import SECTOR_BYTES, coalesce_stream, coalesce_warp
 from repro.mem.locality import BITMAP_SPAN_FACTOR
-from tests.test_mem_coalescer import ORDERS, ordered, walks
+from repro.obs import make_observability
+from tests.test_mem_coalescer import ORDERS, gathers, ordered, walks
 
 
 class TestSetAssociativeCache:
@@ -347,6 +349,75 @@ class TestHierarchyPricesWalksExactly:
         rows = ids // (row_bytes // SECTOR_BYTES)
         expected = 0.5 if ids.size < 2 else float(np.mean(rows[1:] == rows[:-1]))
         assert row_hit_fraction(ids, row_bytes=row_bytes) == expected
+
+
+class TestHierarchyPricesGathersOnce:
+    """A gather's memoized pricing gives the hierarchy the same
+    ``MemoryStats`` as its materialized addresses, on every call."""
+
+    @given(
+        gathers,
+        st.sampled_from([1, 2, 4]),
+        st.sampled_from([256, 2048]),
+        st.sampled_from([1 << 10, 1 << 20]),
+        st.integers(min_value=1, max_value=40),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_process(
+        self, gather, sectors_per_line, row_bytes, capacity, warp_size, l2_bypass
+    ):
+        hierarchy = MemoryHierarchy(
+            l2_capacity_bytes=capacity,
+            dram=dataclasses.replace(GDDR5, row_bytes=row_bytes),
+            l2_line_bytes=SECTOR_BYTES * sectors_per_line,
+        )
+        for coalesce, kwargs in (
+            (coalesce_warp, dict(warp_size=warp_size)),
+            (coalesce_stream, dict(merge_window=warp_size)),
+        ):
+            materialized = hierarchy.process(
+                coalesce(gather.materialize(), **kwargs), l2_bypass=l2_bypass
+            )
+            for _ in range(2):
+                result = coalesce(gather, **kwargs)
+                assert hierarchy.process(result, l2_bypass=l2_bypass) == materialized
+
+    def test_repeated_process_reads_the_memo(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        gather = AddressGather(1 << 16, 4, rng.integers(0, 1 << 14, size=5000))
+        hierarchy = MemoryHierarchy(l2_capacity_bytes=1 << 14, dram=GDDR5)
+        first = hierarchy.process(coalesce_warp(gather))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a memoized gather was profiled again")
+
+        monkeypatch.setattr("repro.mem.hierarchy.profile_lines", unreachable)
+        monkeypatch.setattr("repro.mem.hierarchy.row_hit_fraction", unreachable)
+        for _ in range(3):
+            assert hierarchy.process(coalesce_warp(gather)) == first
+        # Another hierarchy geometry is priced on its own, through the
+        # line ids the memoized result rebuilds.
+        monkeypatch.undo()
+        wide = MemoryHierarchy(
+            l2_capacity_bytes=1 << 14, dram=GDDR5, l2_line_bytes=128
+        )
+        assert wide.process(coalesce_warp(gather)) == wide.process(
+            coalesce_warp(gather.materialize())
+        )
+
+    def test_obs_counters_advance_per_call(self):
+        rng = np.random.default_rng(6)
+        gather = AddressGather(0, 4, rng.integers(0, 1 << 12, size=3000))
+        snapshots = []
+        for stream in (gather, gather.materialize()):
+            obs = make_observability()
+            hierarchy = MemoryHierarchy(l2_capacity_bytes=1 << 13, dram=GDDR5, obs=obs)
+            for _ in range(3):
+                hierarchy.process(coalesce_warp(stream))
+            snapshots.append(obs.metrics.snapshot())
+        assert snapshots[0]["mem.l2.transactions"]["series"][0]["value"] > 0
+        assert snapshots[0] == snapshots[1]
 
 
 class TestEstimatorAgainstSimulator:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.mem import (
     SECTOR_BYTES,
+    AddressGather,
     AddressWalk,
     WARP_SIZE,
     coalesce_stream,
@@ -343,6 +344,65 @@ class TestWalksMatchMaterialized:
             AddressWalk(0, -1, 4)
         with pytest.raises(SimulationError):
             AddressWalk(0, 4, 0)
+
+
+#: Gathers into an allocation: repeated, sorted and scattered indices.
+gathers = st.builds(
+    AddressGather,
+    base=st.integers(min_value=0, max_value=1 << 20).map(lambda block: 256 * block),
+    elem_bytes=st.sampled_from([1, 4, 8, 32]),
+    indices=st.one_of(
+        st.lists(st.integers(min_value=0, max_value=400), max_size=300),
+        st.lists(st.integers(min_value=0, max_value=400), max_size=300).map(sorted),
+    ).map(lambda values: np.asarray(values, dtype=np.int64)),
+)
+
+
+class TestGathersMatchMaterialized:
+    """A gather coalesces exactly like its materialized addresses, on the
+    first pricing (through the array path) and on every memoized one."""
+
+    @given(gathers, st.integers(min_value=1, max_value=40), st.sampled_from([16, 32, 64]))
+    @settings(max_examples=200, deadline=None)
+    def test_warp(self, gather, warp_size, sector_bytes):
+        kwargs = dict(warp_size=warp_size, sector_bytes=sector_bytes)
+        expected = coalesce_warp(gather.materialize(), **kwargs)
+        for _ in range(2):
+            result = coalesce_warp(gather, **kwargs)
+            assert result.pricing is gather.memo[("warp", warp_size, sector_bytes)]
+            assert_same_result(result, expected)
+
+    @given(gathers, st.integers(min_value=1, max_value=16), st.sampled_from([16, 32, 64]))
+    @settings(max_examples=200, deadline=None)
+    def test_stream(self, gather, merge_window, sector_bytes):
+        kwargs = dict(merge_window=merge_window, sector_bytes=sector_bytes)
+        expected = coalesce_stream(gather.materialize(), **kwargs)
+        for _ in range(2):
+            assert_same_result(coalesce_stream(gather, **kwargs), expected)
+
+    def test_each_parameter_set_is_priced_on_its_own(self):
+        gather = AddressGather(0, 4, np.arange(0, 640, 3))
+        coalesce_warp(gather)
+        coalesce_warp(gather, warp_size=8)
+        coalesce_stream(gather, merge_window=8)
+        assert set(gather.memo) == {
+            ("warp", WARP_SIZE, SECTOR_BYTES),
+            ("warp", 8, SECTOR_BYTES),
+            ("stream", 8, SECTOR_BYTES),
+        }
+        assert_same_result(
+            coalesce_warp(gather, warp_size=8),
+            coalesce_warp(gather.materialize(), warp_size=8),
+        )
+
+    def test_masked_gather_is_materialized(self):
+        gather = AddressGather(0, 4, np.arange(40)[::-1])
+        mask = np.arange(40) % 3 != 0
+        result = coalesce_warp(gather, active_mask=mask)
+        assert result.pricing is None and not gather.memo
+        assert_same_result(
+            result, coalesce_warp(gather.materialize(), active_mask=mask)
+        )
 
 
 class TestAddressHelpers:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     ConfigError,
@@ -20,6 +22,7 @@ from repro.utils import (
     geometric_mean,
     require,
     rng_from_seed,
+    unique_sorted,
 )
 
 
@@ -33,6 +36,16 @@ class TestErrors:
 
     def test_format_error_is_graph_error(self):
         assert issubclass(GraphFormatError, GraphError)
+
+
+class TestUniqueSorted:
+    @given(st.lists(st.integers(min_value=-(1 << 40), max_value=1 << 40), max_size=200))
+    @settings(max_examples=100, deadline=None)
+    def test_sorted_input_gives_np_unique(self, raw):
+        values = np.asarray(raw, dtype=np.int64)
+        result = unique_sorted(np.sort(values))
+        assert result.dtype == np.int64
+        np.testing.assert_array_equal(result, np.unique(values))
 
 
 class TestRng:
