@@ -6,8 +6,8 @@ coarse to localise a kernel regression: a 2x slowdown in the DRAM
 replay hides inside a cell whose wall clock is dominated by expansion.
 The micro suite times the individual vectorized kernels (DRAM batch
 replay, unique filtering, grouping, warp/stream coalescing, L2 locality
-profiling, closed-form walk pricing, LRU cache replay, CC labelling) on
-fixed-seed synthetic inputs and writes the same style of
+profiling, closed-form walk pricing, launch pricing, LRU cache replay,
+CC labelling) on fixed-seed synthetic inputs and writes the same style of
 schema-versioned artifact, so ``--compare`` against the committed
 ``benchmarks/baseline_micro.json`` gates future kernel work through the
 existing exit-2 path.
@@ -428,6 +428,75 @@ def _gather_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
     return _gather_launches(inputs, lambda gather: gather.materialize())
 
 
+#: Streams per launch in the frontier workloads' kernels and SCU
+#: operations, and the share of them that are walks.
+LAUNCH_STREAMS = 8
+LAUNCH_WALK_SHARE = 0.6
+
+
+def _launch_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
+    """Launches shaped like BFS/SSSP frontier iterations: 8 streams each,
+    60% walks and the rest unsorted 4-byte gathers, a fifth of them
+    bypassing the L2; stream sizes log-normal around a median of 84
+    elements with a tail past a thousand.  Priced by a GTX980-sized L2."""
+    launches = 200 if quick else 800
+    rng = np.random.default_rng(2033)
+    sizes = np.exp(rng.normal(np.log(84), 2.25, size=(launches, LAUNCH_STREAMS)))
+    sizes = np.clip(np.round(sizes), 1, 20_000).astype(np.int64)
+    plan = []
+    for row in sizes:
+        streams = []
+        for n in row.tolist():
+            base = 256 * int(rng.integers(0, 1 << 16))
+            if rng.random() < LAUNCH_WALK_SHARE:
+                stream = AddressWalk(base + 4 * int(rng.integers(0, 8)), n, 4)
+            else:
+                stream = base + 4 * rng.integers(0, 4 * n, size=n)
+            streams.append((stream, bool(rng.random() < 0.2)))
+        plan.append(streams)
+    hierarchy = MemoryHierarchy(l2_capacity_bytes=2 * 1024 * 1024, dram=GDDR5)
+    return launches * LAUNCH_STREAMS, {"launches": plan, "hierarchy": hierarchy}
+
+
+def _launch_checks(totals: List[Tuple[MemoryStats, float]]) -> Dict[str, float]:
+    return {
+        "transactions": float(sum(stats.transactions for stats, _ in totals)),
+        "l2_hits": float(sum(stats.l2_hits for stats, _ in totals)),
+        "dram_bytes": float(sum(stats.dram_bytes for stats, _ in totals)),
+        "row_hit_fraction": sum(stats.row_hit_fraction for stats, _ in totals),
+        "dram_s": sum(dram_s for _, dram_s in totals),
+    }
+
+
+def _launch_run(inputs: Dict[str, Any]) -> Dict[str, float]:
+    """Each launch through the coalescer and one launch tally."""
+    totals = []
+    for streams in inputs["launches"]:
+        tally = inputs["hierarchy"].launch()
+        for stream, l2_bypass in streams:
+            tally.add(coalesce_warp(stream), l2_bypass=l2_bypass)
+        totals.append((tally.stats(), tally.dram_s))
+    return _launch_checks(totals)
+
+
+def _launch_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
+    """Each stream's addresses through the reference coalescer, then the
+    per-stream ``process`` / ``dram_time_s`` / ``merged`` loop."""
+    hierarchy = inputs["hierarchy"]
+    totals = []
+    for streams in inputs["launches"]:
+        memory = MemoryStats()
+        dram_s = 0.0
+        for stream, l2_bypass in streams:
+            if isinstance(stream, AddressWalk):
+                stream = stream.materialize()
+            stats = hierarchy.process(coalesce_warp_reference(stream), l2_bypass=l2_bypass)
+            dram_s += hierarchy.dram_time_s(stats)
+            memory = memory.merged(stats)
+        totals.append((memory, dram_s))
+    return _launch_checks(totals)
+
+
 def _cache_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
     n = 25_000 if quick else 100_000
     rng = np.random.default_rng(2030)
@@ -592,6 +661,7 @@ MICRO_KERNELS: Tuple[MicroKernel, ...] = (
     ),
     MicroKernel("hierarchy.walk", _walk_inputs, _walk_run, _walk_reference),
     MicroKernel("hierarchy.gather", _gather_inputs, _gather_run, _gather_reference),
+    MicroKernel("hierarchy.launch", _launch_inputs, _launch_run, _launch_reference),
     MicroKernel("cache.lru", _cache_inputs, _cache_run, _cache_reference),
     MicroKernel("cc.labels", _cc_inputs, _cc_run, _cc_reference),
     MicroKernel("batch.compaction", _batch_inputs, _batch_run, _batch_reference),

@@ -75,13 +75,9 @@ def streams_memory_stats(
     ``obs`` records each stream's coalescing behaviour by role, which is
     how hash-probe scatter shows up next to sequential walks.
     """
-    total = MemoryStats()
-    dram_s = 0.0
+    tally = hierarchy.launch()
     for stream in streams:
-        result = coalesce_scu_stream(stream, config)
-        stats = hierarchy.process(result)
-        dram_s += hierarchy.dram_time_s(stats)
-        total = total.merged(stats)
+        stats = tally.add(coalesce_scu_stream(stream, config))
         if obs.enabled and stats.transactions:
             metrics = obs.metrics
             metrics.counter("scu.stream.transactions").inc(
@@ -90,7 +86,7 @@ def streams_memory_stats(
             metrics.histogram("scu.stream.coalesce_factor").observe(
                 stats.coalescing_factor, role=stream.role
             )
-    return total, dram_s
+    return tally.stats(), tally.dram_s
 
 
 # -- stream builders, one vocabulary shared by all operations ---------------

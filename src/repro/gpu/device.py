@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 from ..mem.address_space import AddressGather, AddressWalk
 from ..mem.coalescer import coalesce_warp
-from ..mem.hierarchy import MemoryHierarchy, MemoryStats
+from ..mem.hierarchy import MemoryHierarchy
 from ..obs import NULL_OBS, Observability
 from ..phases import Engine, PhaseReport
 from .config import GpuConfig
@@ -23,6 +23,13 @@ from .timing import kernel_timing
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..backends.iru import IrregularAccessReorderUnit
+
+
+def scaled_l2_bytes(config: GpuConfig, memory_scale: float) -> int:
+    """The modeled L2 capacity of ``config`` divided by ``memory_scale``."""
+    if memory_scale == 1.0:
+        return config.l2_bytes
+    return int(config.l2_bytes / memory_scale)
 
 
 @dataclass
@@ -44,11 +51,9 @@ class GpuDevice:
     hierarchy: MemoryHierarchy = field(init=False)
 
     def __post_init__(self) -> None:
-        l2_bytes = self.config.l2_bytes
-        if self.memory_scale != 1.0:
-            l2_bytes = int(self.config.l2_bytes / self.memory_scale)
         self.hierarchy = MemoryHierarchy(
-            l2_capacity_bytes=l2_bytes, dram=self.config.dram,
+            l2_capacity_bytes=scaled_l2_bytes(self.config, self.memory_scale),
+            dram=self.config.dram,
             obs=self.obs,
         )
 
@@ -74,8 +79,7 @@ class GpuDevice:
         with tracer.span(
             spec.name, "gpu-kernel", **(spec.trace_args() if tracer.enabled else {})
         ) as span:
-            memory = MemoryStats()
-            dram_s = 0.0
+            tally = self.hierarchy.launch()
             iru_elements = 0
             for stream in spec.accesses:
                 addresses = stream.addresses
@@ -98,10 +102,11 @@ class GpuDevice:
                         addresses, count = intercepted
                         active_mask = None  # mask pre-applied by the unit
                         iru_elements += count
-                result = coalesce_warp(addresses, active_mask=active_mask)
-                stats = self.hierarchy.process(result, l2_bypass=stream.l2_bypass)
-                dram_s += self.hierarchy.dram_time_s(stats)
-                memory = memory.merged(stats)
+                tally.add(
+                    coalesce_warp(addresses, active_mask=active_mask),
+                    l2_bypass=stream.l2_bypass,
+                )
+            memory = tally.stats()
             iru_overhead_s = 0.0
             iru_energy_j = 0.0
             if iru_elements:
@@ -115,7 +120,7 @@ class GpuDevice:
                 memory=memory,
                 atomics=atomics,
                 memory_efficiency=spec.memory_efficiency,
-                dram_s_override=dram_s,
+                dram_s_override=tally.dram_s,
                 obs=self.obs,
             )
             energy = kernel_dynamic_energy_j(

@@ -14,10 +14,10 @@ Two coalescers live here:
 
 Both are exact (they look at real addresses) and vectorized, and each
 keeps its original sort/scan body as a ``*_reference`` twin that the
-O(n) fast path is pinned equal to.  Both also accept an
-:class:`~repro.mem.address_space.AddressWalk` and price it in closed
-form when its sector ids are contiguous (see :func:`_walk_span`), and
-an :class:`~repro.mem.address_space.AddressGather`, which they price
+fast paths are pinned equal to.  Both also accept an
+:class:`~repro.mem.address_space.AddressWalk` and price it in integer
+arithmetic when its sector ids are contiguous (see :func:`_walk_span`),
+and an :class:`~repro.mem.address_space.AddressGather`, which they price
 through its addresses once per set of parameters (see
 :func:`_price_gather`).
 """
@@ -77,6 +77,12 @@ class CoalesceResult:
     span: tuple[int, int] | None = None
     #: the memo entry of the gather this result priced, if any
     pricing: GatherPricing | None = None
+    #: True when the coalescer knows ``line_ids`` are non-decreasing
+    #: (False when they are not, or when it does not know)
+    ids_sorted: bool = False
+    #: ``(min, max)`` of ``line_ids`` when the coalescer knows them, so
+    #: the hierarchy's profile need not scan for them
+    bounds: tuple[int, int] | None = None
 
     def __init__(
         self,
@@ -86,13 +92,21 @@ class CoalesceResult:
         sector_bytes: int = SECTOR_BYTES,
         span: tuple[int, int] | None = None,
         pricing: GatherPricing | None = None,
+        ids_sorted: bool = False,
+        bounds: tuple[int, int] | None = None,
     ) -> None:
-        object.__setattr__(self, "accesses", accesses)
-        object.__setattr__(self, "transactions", transactions)
-        object.__setattr__(self, "_line_ids", line_ids)
-        object.__setattr__(self, "sector_bytes", sector_bytes)
-        object.__setattr__(self, "span", span)
-        object.__setattr__(self, "pricing", pricing)
+        # One write past the frozen guard, not one per field: a launch
+        # builds a result per stream.
+        vars(self).update(
+            accesses=accesses,
+            transactions=transactions,
+            _line_ids=line_ids,
+            sector_bytes=sector_bytes,
+            span=span,
+            pricing=pricing,
+            ids_sorted=ids_sorted,
+            bounds=bounds,
+        )
 
     @property
     def line_ids(self) -> np.ndarray:
@@ -182,15 +196,22 @@ def _price_gather(
         return coalesce(gather.materialize()).line_ids
 
     pricing = gather.memo.get(key)
-    line_ids: np.ndarray | Callable[[], np.ndarray] = rebuild_line_ids
     if pricing is None:
         result = coalesce(gather.materialize())
         pricing = gather.memo[key] = GatherPricing(result.accesses, result.transactions)
-        line_ids = result.line_ids
+        return CoalesceResult(
+            accesses=pricing.accesses,
+            transactions=pricing.transactions,
+            line_ids=result.line_ids,
+            sector_bytes=sector_bytes,
+            pricing=pricing,
+            ids_sorted=result.ids_sorted,
+            bounds=result.bounds,
+        )
     return CoalesceResult(
         accesses=pricing.accesses,
         transactions=pricing.transactions,
-        line_ids=line_ids,
+        line_ids=rebuild_line_ids,
         sector_bytes=sector_bytes,
         pricing=pricing,
     )
@@ -212,19 +233,21 @@ def coalesce_warp(
         active_mask: optional boolean array marking active lanes;
             inactive lanes issue no access (predicated-off threads).
 
-    When the (active) addresses are non-decreasing and not negative,
-    so are their sector ids and every warp's row is already sorted: a
-    transaction starts exactly where the id changes or a warp begins,
-    and the per-warp sort is skipped.  Any other stream goes to
-    :func:`coalesce_warp_reference`; the sorted path returns exactly
-    what the reference would.
+    When the (active) addresses' sector ids are non-decreasing and not
+    negative, every warp's row is already sorted: a transaction starts
+    exactly where the id changes or a warp begins, and the per-warp sort
+    is skipped.  Other non-negative streams take one sorting pass (see
+    :func:`_coalesce_warp_unsorted`); streams with negative addresses go
+    to :func:`coalesce_warp_reference`.  Both paths return exactly what
+    the reference would, and record on the result whether the ids are
+    sorted and their bounds, so the hierarchy does not scan them again.
 
     An unmasked :class:`AddressWalk` with contiguous sector ids (see
-    :func:`_walk_span`) is priced without its addresses: warp ``w``
-    issues one transaction per sector from its first element's to its
-    last element's.  Any other walk is materialized first.  An unmasked
-    :class:`AddressGather` is priced once per parameter set (see
-    :func:`_price_gather`); a masked one is materialized.
+    :func:`_walk_span`) is priced in integer arithmetic, without its
+    addresses (see :func:`_coalesce_warp_walk`).  Any other walk is
+    materialized first.  An unmasked :class:`AddressGather` is priced
+    once per parameter set (see :func:`_price_gather`); a masked one is
+    materialized.
     """
     if warp_size <= 0:
         raise SimulationError(f"warp_size must be positive, got {warp_size}")
@@ -253,14 +276,19 @@ def coalesce_warp(
     if n == 0:
         return CoalesceResult(0, 0, np.empty(0, dtype=np.int64), sector_bytes)
 
-    # Sorted addresses give sorted sector ids.  The reference drops id -1
-    # as padding, so negative addresses defer to it.
-    if addresses[0] < 0 or (addresses[1:] < addresses[:-1]).any():
+    # The sector ids go straight into a grid of whole warps; the padding
+    # lanes are only written if the unsorted path needs them.
+    shift = int(sector_bytes).bit_length() - 1
+    grid = np.empty(-(-n // warp_size) * warp_size, dtype=np.int64)
+    lines = grid[:n]
+    np.right_shift(addresses, shift, out=lines)
+    if (lines[1:] < lines[:-1]).any():
+        return _coalesce_warp_unsorted(addresses, grid, n, warp_size, sector_bytes)
+    if lines[0] < 0:
+        # The reference drops id -1 as padding; keep its answer.
         return coalesce_warp_reference(
             addresses, warp_size=warp_size, sector_bytes=sector_bytes
         )
-    shift = int(sector_bytes).bit_length() - 1
-    lines = addresses >> shift
     first = np.empty(n, dtype=bool)
     first[0] = True
     np.not_equal(lines[1:], lines[:-1], out=first[1:])
@@ -271,20 +299,94 @@ def coalesce_warp(
         transactions=int(line_ids.size),
         line_ids=line_ids,
         sector_bytes=sector_bytes,
+        ids_sorted=True,
+        bounds=(int(lines[0]), int(lines[-1])),
     )
+
+
+def _coalesce_warp_unsorted(
+    addresses: np.ndarray, grid: np.ndarray, n: int, warp_size: int, sector_bytes: int
+) -> CoalesceResult:
+    """One pass of :func:`coalesce_warp` over unsorted sector ids.
+
+    ``grid`` holds the ``n`` ids followed by the padding lanes of the
+    partial last warp.  A padding lane repeats the last lane's id, so it
+    merges into that lane's transaction and needs no filtering.  Each
+    warp's row is sorted once; a transaction starts where a sorted row's
+    id changes.  The first and last columns of the sorted rows give the
+    ids' bounds, and the ids are sorted when each row ends at or below
+    the next row's start.
+    """
+    grid[n:] = grid[n - 1]
+    rows = grid.reshape(-1, warp_size)
+    rows.sort(axis=1)
+    low = int(rows[:, 0].min())
+    if low < 0:
+        return coalesce_warp_reference(
+            addresses, warp_size=warp_size, sector_bytes=sector_bytes
+        )
+    first = np.empty(rows.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=first[:, 1:])
+    line_ids = rows[first]
+    return CoalesceResult(
+        accesses=n,
+        transactions=int(line_ids.size),
+        line_ids=line_ids,
+        sector_bytes=sector_bytes,
+        ids_sorted=rows.shape[0] == 1 or bool((rows[1:, 0] >= rows[:-1, -1]).all()),
+        bounds=(low, int(rows[:, -1].max())),
+    )
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """``sum(floor((a * i + b) / m) for i in range(n))`` in O(log m).
+
+    The Euclid-like reduction for non-negative ``n``, ``a``, ``b`` and
+    positive ``m``: peel off the whole multiples of ``m`` in ``a`` and
+    ``b``, then count the lattice points under the line with the axes
+    swapped.
+    """
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
 
 
 def _coalesce_warp_walk(
     walk: AddressWalk, span: tuple[int, int], warp_size: int, sector_bytes: int
 ) -> CoalesceResult:
-    """Closed form of :func:`coalesce_warp` on a walk with contiguous ids."""
+    """Closed form of :func:`coalesce_warp` on a walk with contiguous ids.
+
+    Warp ``w`` issues one transaction per sector from its first lane's
+    to its last lane's.  Over the ``full`` whole warps those are two
+    floor sums of lines with slope ``warp_size * elem_bytes / sector``;
+    the partial last warp adds its own lanes.  When the warp stride is
+    a multiple of the sector, every whole warp starts at the same
+    sector offset and the floor sums take one step.
+    """
     shift = int(sector_bytes).bit_length() - 1
-    n = walk.count
-    warp_starts = np.arange(0, n, warp_size, dtype=np.int64)
-    warp_ends = np.minimum(warp_starts + (warp_size - 1), n - 1)
-    first = (walk.base + warp_starts * walk.elem_bytes) >> shift
-    last = (walk.base + warp_ends * walk.elem_bytes) >> shift
-    transactions = int((last - first).sum()) + int(warp_starts.size)
+    n, base, elem = walk.count, walk.base, walk.elem_bytes
+    full, lanes = divmod(n, warp_size)
+    stride = warp_size * elem
+    reach = (warp_size - 1) * elem
+    transactions = (
+        full
+        + _floor_sum(full, sector_bytes, stride, base + reach)
+        - _floor_sum(full, sector_bytes, stride, base)
+    )
+    if lanes:
+        start = base + full * stride
+        transactions += ((start + (lanes - 1) * elem) >> shift) - (start >> shift) + 1
     return CoalesceResult(
         accesses=n,
         transactions=transactions,
@@ -293,6 +395,8 @@ def _coalesce_warp_walk(
         ).line_ids,
         sector_bytes=sector_bytes,
         span=span,
+        ids_sorted=True,
+        bounds=span,
     )
 
 
@@ -353,7 +457,8 @@ def coalesce_stream(
     is exactly the window positions :func:`coalesce_stream_reference`
     keeps, in the same order, for any input.  When no run outgrows the
     window (a sequential walk, a random gather) that is one transaction
-    per run.
+    per run.  The result says whether the ids are sorted and carries
+    their bounds, for the hierarchy.
 
     An :class:`AddressWalk` with contiguous sector ids (see
     :func:`_walk_span`) whose runs fit the window — at most
@@ -375,6 +480,8 @@ def coalesce_stream(
                 line_ids=lambda: np.arange(first, last + 1, dtype=np.int64),
                 sector_bytes=sector_bytes,
                 span=span,
+                ids_sorted=True,
+                bounds=span,
             )
         addresses = addresses.materialize()
     elif isinstance(addresses, AddressGather):
@@ -396,17 +503,26 @@ def coalesce_stream(
     run_start = np.empty(n, dtype=bool)
     run_start[0] = True
     np.not_equal(lines[1:], lines[:-1], out=run_start[1:])
-    starts = np.flatnonzero(run_start)
-    run_lengths = np.diff(starts, append=n)
-    line_ids = lines[starts]
-    if run_lengths.max() > merge_window:
-        per_run = (run_lengths + (merge_window - 1)) // merge_window
-        line_ids = np.repeat(line_ids, per_run)
+    line_ids = lines[run_start]
+    # No run is longer than what the other runs leave of the stream, so
+    # the run lengths are only needed when that bound passes the window.
+    if n - line_ids.size + 1 > merge_window:
+        run_lengths = np.diff(run_start.nonzero()[0], append=n)
+        if run_lengths.max() > merge_window:
+            per_run = (run_lengths + (merge_window - 1)) // merge_window
+            line_ids = np.repeat(line_ids, per_run)
+    ids_sorted = not (line_ids[1:] < line_ids[:-1]).any()
+    if ids_sorted:
+        bounds = (int(line_ids[0]), int(line_ids[-1]))
+    else:
+        bounds = (int(line_ids.min()), int(line_ids.max()))
     return CoalesceResult(
         accesses=n,
         transactions=int(line_ids.size),
         line_ids=line_ids,
         sector_bytes=sector_bytes,
+        ids_sorted=ids_sorted,
+        bounds=bounds,
     )
 
 

@@ -95,18 +95,25 @@ class DramModel:
         """Time to drain ``traffic``, bandwidth-bound with a latency floor."""
         if traffic.accesses == 0:
             return 0.0
-        bandwidth_time = traffic.bytes_transferred / self.effective_bandwidth(
-            traffic.row_hit_fraction
+        return self.drain_time_s(
+            traffic.accesses, traffic.bytes_transferred, traffic.row_hit_fraction
         )
+
+    def drain_time_s(
+        self, accesses: int, bytes_transferred: int, row_hit_fraction: float
+    ) -> float:
+        """:meth:`transfer_time_s` of ``accesses > 0`` transactions, on
+        plain numbers (``row_hit_fraction`` already in range)."""
+        bandwidth_time = bytes_transferred / self.effective_bandwidth(row_hit_fraction)
         # A single access cannot beat the device latency.
         latency_floor = self.config.access_latency_ns * 1e-9
         time_s = max(bandwidth_time, latency_floor)
         if self.obs.enabled:
             metrics = self.obs.metrics
-            metrics.counter("mem.dram.requests").inc(traffic.accesses, device=self.config.name)
+            metrics.counter("mem.dram.requests").inc(accesses, device=self.config.name)
             metrics.counter("mem.dram.time_s").inc(time_s, device=self.config.name)
             metrics.histogram("mem.dram.row_hit_fraction").observe(
-                traffic.row_hit_fraction, device=self.config.name
+                row_hit_fraction, device=self.config.name
             )
         return time_s
 

@@ -46,7 +46,12 @@ class LocalityProfile:
 BITMAP_SPAN_FACTOR = 8
 
 
-def profile_lines(line_ids: np.ndarray) -> LocalityProfile:
+def profile_lines(
+    line_ids: np.ndarray,
+    *,
+    ids_sorted: bool | None = None,
+    bounds: tuple[int, int] | None = None,
+) -> LocalityProfile:
     """Measure the reuse structure of a stream of line ids.
 
     Counts the distinct ids in O(n) on the streams real runs produce,
@@ -61,22 +66,29 @@ def profile_lines(line_ids: np.ndarray) -> LocalityProfile:
       and count the marks;
     * anything else (sparse ids over a wide span): sort them, then
       count as for non-decreasing ids.
+
+    A caller that already knows whether the ids are non-decreasing
+    (``ids_sorted``; False may also mean "not known") or their
+    ``(min, max)`` (``bounds``) passes them, and the ids are not scanned
+    for them again.
     """
     line_ids = np.asarray(line_ids, dtype=np.int64)
     n = line_ids.size
     if n == 0:
         return LocalityProfile(0, 0)
-    head, tail = line_ids[:-1], line_ids[1:]
-    if (tail < head).any():
-        low = int(line_ids.min())
-        span = int(line_ids.max()) - low + 1
+    if ids_sorted is None:
+        ids_sorted = not (line_ids[1:] < line_ids[:-1]).any()
+    if not ids_sorted:
+        if bounds is None:
+            bounds = (int(line_ids.min()), int(line_ids.max()))
+        low, high = bounds
+        span = high - low + 1
         if span <= BITMAP_SPAN_FACTOR * n:
             seen = np.zeros(span, dtype=bool)
             seen[line_ids - low] = True
             return LocalityProfile(n, int(np.count_nonzero(seen)))
         line_ids = np.sort(line_ids)
-        head, tail = line_ids[:-1], line_ids[1:]
-    return LocalityProfile(n, 1 + int(np.count_nonzero(tail != head)))
+    return LocalityProfile(n, 1 + int(np.count_nonzero(line_ids[1:] != line_ids[:-1])))
 
 
 def profile_lines_reference(line_ids: np.ndarray) -> LocalityProfile:
@@ -87,6 +99,16 @@ def profile_lines_reference(line_ids: np.ndarray) -> LocalityProfile:
     return LocalityProfile(int(line_ids.size), int(np.unique(line_ids).size))
 
 
+def reuse_hit_rate(accesses: int, unique_lines: int, capacity_lines: float) -> float:
+    """The reuse model's hit rate on plain numbers (``accesses > 0``).
+
+    ``capacity_lines`` is the cache capacity over its line size; the
+    caller has checked both are positive.
+    """
+    residency = min(1.0, capacity_lines / max(unique_lines, 1))
+    return ((accesses - unique_lines) * residency) / accesses
+
+
 def estimate_hit_rate(
     profile: LocalityProfile, capacity_bytes: int, line_bytes: int
 ) -> float:
@@ -95,9 +117,9 @@ def estimate_hit_rate(
         raise ConfigError("cache capacity and line size must be positive")
     if profile.accesses == 0:
         return 0.0
-    capacity_lines = capacity_bytes / line_bytes
-    residency = min(1.0, capacity_lines / max(profile.unique_lines, 1))
-    return (profile.reuses * residency) / profile.accesses
+    return reuse_hit_rate(
+        profile.accesses, profile.unique_lines, capacity_bytes / line_bytes
+    )
 
 
 def estimate_hits(

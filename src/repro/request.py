@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Tuple
@@ -34,6 +35,9 @@ from .backends import available_modes
 from .backends.modes import SystemMode
 from .core.api import ScuSystem
 from .errors import ExperimentError, ProtocolError
+from .gpu.config import GPU_SYSTEMS
+from .gpu.device import scaled_l2_bytes
+from .mem.coalescer import SECTOR_BYTES  # the line size of the device L2
 from .phases import RunReport
 
 #: JSON field names a wire-form request may carry (the service protocol).
@@ -186,7 +190,6 @@ class RunRequest:
         # the runner imports this module, so the reverse import must not
         # happen at module load).
         from .algorithms.runner import ALGORITHMS
-        from .gpu.config import GPU_SYSTEMS
         from .graph.datasets import DATASETS
 
         if payload["algorithm"] not in ALGORITHMS:
@@ -204,6 +207,8 @@ class RunRequest:
             raise ProtocolError(
                 f"unknown gpu {payload['gpu']!r}; known: {known}"
             )
+        if "memory_scale" in raw_kwargs:
+            _check_memory_scale(raw_kwargs["memory_scale"], payload["gpu"])
         return cls.make(
             payload["algorithm"],
             payload["dataset"],
@@ -211,6 +216,26 @@ class RunRequest:
             mode,
             seed=seed,
             **raw_kwargs,
+        )
+
+
+def _check_memory_scale(scale: Any, gpu_name: str) -> None:
+    """Reject a wire ``memory_scale`` the simulated system cannot be built
+    with: not a positive finite number, or so large that the GPU's L2
+    would hold less than one line."""
+    if (
+        isinstance(scale, bool)
+        or not isinstance(scale, (int, float))
+        or not math.isfinite(scale)
+        or scale <= 0
+    ):
+        raise ProtocolError(
+            f"kwargs['memory_scale'] must be a positive finite number, got {scale!r}"
+        )
+    if scaled_l2_bytes(GPU_SYSTEMS[gpu_name], scale) < SECTOR_BYTES:
+        raise ProtocolError(
+            f"kwargs['memory_scale'] {scale!r} leaves the {gpu_name} L2 with "
+            f"less than one {SECTOR_BYTES}-byte line"
         )
 
 

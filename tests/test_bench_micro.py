@@ -178,6 +178,17 @@ class TestCommittedBaseline:
         record = baseline.record_map()[("hierarchy.gather", 50_000)]
         assert record.speedup is not None and record.speedup >= 2.0
 
+    def test_baseline_proves_unsorted_warp_pass_beats_reference(self):
+        # random addresses: the one-pass unsorted path, not a fallback
+        baseline = MicroArtifact.load("benchmarks/baseline_micro.json")
+        record = baseline.record_map()[("coalesce.warp", 50_000)]
+        assert record.speedup is not None and record.speedup >= 1.0
+
+    def test_baseline_proves_launch_pricing_speedup(self):
+        baseline = MicroArtifact.load("benchmarks/baseline_micro.json")
+        record = baseline.record_map()[("hierarchy.launch", 1600)]
+        assert record.speedup is not None and record.speedup >= 1.5
+
     def test_current_checksums_match_baseline(self, quick_artifact):
         baseline = MicroArtifact.load("benchmarks/baseline_micro.json")
         report = compare_micro_artifacts(

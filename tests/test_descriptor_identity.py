@@ -1,10 +1,12 @@
-"""Stream descriptors change no report.
+"""Stream descriptors and launch tallies change no report.
 
-Walks and gathers are priced without their addresses, and a back-to-back
-SCU expansion is read as a walk.  With every descriptor forced down the
-materialized path, and the expansion down its index path, the ``/run``
-body of every cell below must not change by a byte; and PageRank's
-simulated metrics stay those of the committed quick baseline.
+Walks and gathers are priced without their addresses, a back-to-back
+SCU expansion is read as a walk, and a launch's streams are totalled on
+plain numbers.  With every descriptor forced down the materialized path,
+the expansion down its index path and every launch down the per-stream
+``process`` / ``dram_time_s`` / ``merged`` loop, the ``/run`` body of
+every cell below must not change by a byte; and PageRank's simulated
+metrics stay those of the committed quick baseline.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from repro.gpu import GPU_SYSTEMS
 from repro.mem.address_space import Allocation
 from repro.request import RunRequest
 from repro.serve.protocol import encode, run_response
+from tests.test_launch_tally import price_launches_per_stream
 
 BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "baseline_quick.json"
 
@@ -32,12 +35,16 @@ CELLS = list(
     )
 ) + list(
     # frontier algorithms: single-range and consecutive-node expansions
-    # are walks too, in every mode
+    # are walks too, in every mode; the frontier datasets on both GPUs
     itertools.product(
         ["bfs", "sssp"],
-        ["human", "delaunay"],
-        ["TX1"],
+        ["ca", "cond", "delaunay"],
+        ["GTX980", "TX1"],
         ["gpu", "scu-basic", "scu-enhanced", "iru"],
+    )
+) + list(
+    itertools.product(
+        ["bfs", "sssp"], ["human"], ["TX1"], ["gpu", "scu-basic", "scu-enhanced", "iru"]
     )
 )
 
@@ -61,6 +68,7 @@ def force_materialized(monkeypatch) -> None:
         Allocation, "gather", lambda self, indices: gather(self, indices).materialize()
     )
     monkeypatch.setattr(ops, "contiguous_expansion_start", lambda indexes, count: None)
+    price_launches_per_stream(monkeypatch)
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=["-".join(cell) for cell in CELLS])

@@ -256,7 +256,19 @@ class TestProfileLinesMatchesReference:
 
     @staticmethod
     def assert_same(line_ids):
-        assert profile_lines(line_ids) == profile_lines_reference(line_ids)
+        expected = profile_lines_reference(line_ids)
+        assert profile_lines(line_ids) == expected
+        if line_ids.size:
+            # what a coalescer may pass on: the bounds, and "sorted" when
+            # it knows (False also stands for "not known")
+            bounds = (int(line_ids.min()), int(line_ids.max()))
+            is_sorted = bool((line_ids[1:] >= line_ids[:-1]).all())
+            for ids_sorted in {is_sorted, False}:
+                for hint in (bounds, None):
+                    assert (
+                        profile_lines(line_ids, ids_sorted=ids_sorted, bounds=hint)
+                        == expected
+                    )
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     @pytest.mark.parametrize("order", ORDERS)

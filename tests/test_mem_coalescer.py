@@ -18,6 +18,7 @@ from repro.mem import (
     gather_addresses,
     sequential_addresses,
 )
+from repro.mem.coalescer import _floor_sum
 
 
 class TestWarpCoalescer:
@@ -413,3 +414,108 @@ class TestAddressHelpers:
     def test_sequential_rejects_negative(self):
         with pytest.raises(SimulationError):
             sequential_addresses(-1)
+
+
+class TestWarpWalkClosedForm:
+    """The integer form of a warp walk equals the reference on its
+    addresses, including warp strides that are not a whole number of
+    sectors (the floor-sum case)."""
+
+    @given(
+        st.integers(min_value=0, max_value=1 << 24),
+        st.integers(min_value=0, max_value=400),
+        st.sampled_from([1, 2, 4, 8, 12, 24, 32]),
+        st.one_of(st.sampled_from([1, 7, 32, 48]), st.integers(min_value=1, max_value=64)),
+        st.sampled_from([4, 8, 16, 32, 64, 128]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, base, count, elem_bytes, warp_size, sector_bytes):
+        walk = AddressWalk(base, count, elem_bytes)
+        kwargs = dict(warp_size=warp_size, sector_bytes=sector_bytes)
+        result = coalesce_warp(walk, **kwargs)
+        assert (result.span is not None) == (count > 0 and elem_bytes <= sector_bytes)
+        assert_same_result(result, coalesce_warp_reference(walk.materialize(), **kwargs))
+        if result.span is not None:
+            assert result.ids_sorted and result.bounds == result.span
+
+    @pytest.mark.parametrize(
+        "elem_bytes, warp_size, sector_bytes",
+        [(12, 7, 32), (24, 7, 32), (4, 7, 32), (12, 7, 64), (1, 48, 32), (24, 48, 256)],
+    )
+    def test_strides_off_the_sector_grid(self, elem_bytes, warp_size, sector_bytes):
+        assert (warp_size * elem_bytes) % sector_bytes  # the floor-sum case
+        for base in (0, 4, 31, 1 << 20):
+            for count in (1, warp_size, warp_size + 1, 5 * warp_size - 1, 1000):
+                walk = AddressWalk(base, count, elem_bytes)
+                kwargs = dict(warp_size=warp_size, sector_bytes=sector_bytes)
+                assert (
+                    coalesce_warp(walk, **kwargs).transactions
+                    == coalesce_warp_reference(walk.materialize(), **kwargs).transactions
+                )
+
+    @given(
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=0, max_value=1 << 20),
+        st.integers(min_value=0, max_value=1 << 20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_floor_sum(self, n, m, a, b):
+        assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+class TestCoalescerHints:
+    """What a result says about its ids (sorted, bounds) is true, so the
+    hierarchy may skip scanning for it."""
+
+    @staticmethod
+    def assert_hints_hold(result):
+        ids = result.line_ids
+        if result.ids_sorted:
+            assert (ids[1:] >= ids[:-1]).all()
+        if result.bounds is not None:
+            assert result.bounds == (int(ids.min()), int(ids.max()))
+
+    @given(
+        addresses,
+        st.sampled_from(ORDERS),
+        st.one_of(st.sampled_from([1, 7, 32, 48]), st.integers(min_value=1, max_value=64)),
+        st.sampled_from([4, 32, 128]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_warp(self, raw, order, warp_size, sector_bytes):
+        addrs = ordered(raw, order)
+        kwargs = dict(warp_size=warp_size, sector_bytes=sector_bytes)
+        result = coalesce_warp(addrs, **kwargs)
+        assert_same_result(result, coalesce_warp_reference(addrs, **kwargs))
+        if addrs.size:
+            assert result.bounds is not None
+            self.assert_hints_hold(result)
+        if order in ("increasing", "non-decreasing"):
+            assert result.ids_sorted == (addrs.size > 0)
+
+    @given(addresses, st.sampled_from(ORDERS), st.integers(min_value=1, max_value=16))
+    @settings(max_examples=200, deadline=None)
+    def test_stream(self, raw, order, merge_window):
+        addrs = ordered(raw, order)
+        result = coalesce_stream(addrs, merge_window=merge_window)
+        if addrs.size:
+            assert result.bounds is not None
+            self.assert_hints_hold(result)
+        if order in ("increasing", "non-decreasing"):
+            assert result.ids_sorted == (addrs.size > 0)
+
+    @pytest.mark.parametrize("count", [1, 31, 32, 33, 95])
+    def test_unsorted_partial_last_warp(self, count):
+        # The padding lanes repeat the last lane: no extra transaction,
+        # and the padding never shows in the bounds.
+        addrs = (np.arange(count, dtype=np.int64)[::-1] * 96) + 64
+        result = coalesce_warp(addrs)
+        assert_same_result(result, coalesce_warp_reference(addrs))
+        self.assert_hints_hold(result)
+        assert result.ids_sorted == (count <= WARP_SIZE)
+        # Rows that each sort into place make sorted ids.
+        rows = np.arange(96, dtype=np.int64).reshape(3, WARP_SIZE)[:, ::-1] * 32
+        result = coalesce_warp(rows.ravel()[:count])
+        assert result.ids_sorted
+        self.assert_hints_hold(result)

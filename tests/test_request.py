@@ -12,7 +12,7 @@ import pytest
 from repro import RunOutcome, RunRequest, build_system, run_algorithm
 from repro.algorithms import execute_request
 from repro.algorithms.common import SystemMode
-from repro.errors import ExperimentError, ProtocolError
+from repro.errors import ConfigError, ExperimentError, ProtocolError
 from repro.graph.datasets import load_dataset
 from repro.harness import experiment_key
 from repro.harness.parallel import SweepCell
@@ -148,6 +148,45 @@ class TestWireFormat:
         with pytest.raises(ProtocolError, match=match):
             RunRequest.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "scale, match",
+        [
+            (-1, "positive finite"),
+            (0, "positive finite"),
+            (float("nan"), "positive finite"),
+            (float("inf"), "positive finite"),
+            (True, "positive finite"),
+            ("16", "positive finite"),
+            (1e12, "less than one 32-byte line"),
+            # TX1's 256 KB L2 over 2**14 is 16 bytes
+            (2**14, "less than one 32-byte line"),
+        ],
+    )
+    def test_from_dict_rejects_unbuildable_memory_scale(self, scale, match):
+        payload = {
+            "algorithm": "bfs",
+            "dataset": "human",
+            "gpu": "TX1",
+            "mode": "gpu",
+            "kwargs": {"memory_scale": scale},
+        }
+        with pytest.raises(ProtocolError, match=match):
+            RunRequest.from_dict(payload)
+
+    def test_from_dict_accepts_a_one_line_l2(self):
+        # TX1's 256 KB L2 over 2**13 is exactly one 32-byte line
+        payload = {
+            "algorithm": "bfs",
+            "dataset": "human",
+            "gpu": "TX1",
+            "mode": "gpu",
+            "kwargs": {"memory_scale": 2**13},
+        }
+        request = RunRequest.from_dict(payload)
+        assert dict(request.kwargs) == {"memory_scale": 2**13}
+        system = build_system("TX1", mode="gpu", memory_scale=2**13)
+        assert system.gpu.hierarchy.l2_capacity_bytes == 32
+
 
 class TestRunOutcome:
     def test_tuple_unpacking_still_works_but_warns(self):
@@ -192,3 +231,7 @@ class TestMemoryScaleConstruction:
     def test_unscaled_is_exact_hardware_size(self):
         system = build_system("GTX980", mode="gpu")
         assert system.gpu.hierarchy.l2_capacity_bytes == system.gpu.config.l2_bytes
+
+    def test_empty_l2_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="cache capacity and line size"):
+            build_system("TX1", mode="gpu", memory_scale=1e12)

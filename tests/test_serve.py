@@ -335,6 +335,25 @@ class TestHttpService:
             _post(base, b"{not json")
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            (b"1e12", "less than one 32-byte line"),
+            (b"NaN", "positive finite number, got nan"),
+            (b"-1", "positive finite number, got -1"),
+        ],
+    )
+    def test_unbuildable_memory_scale_is_400(self, served, scale, message):
+        _, base = served
+        body = REQUEST_BODY[:-1] + b', "kwargs": {"memory_scale": ' + scale + b"}}"
+        for _ in range(2):  # the same body, the same answer
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(base, body)
+            assert excinfo.value.code == 400
+            payload = json.loads(excinfo.value.read())
+            assert payload["error"] == "bad-request"
+            assert message in payload["message"]
+
 
 class TestCoalescing:
     def test_eight_concurrent_identical_requests_simulate_once(self):
