@@ -58,6 +58,7 @@ from ..graph.csr import CsrGraph
 from ..mem.cache import SetAssociativeCache
 from ..mem.coalescer import (
     SECTOR_BYTES,
+    WARP_SIZE,
     CoalesceResult,
     coalesce_stream,
     coalesce_stream_reference,
@@ -387,12 +388,12 @@ def _hierarchy_checks(stats: MemoryStats) -> Dict[str, float]:
 
 
 def _walk_run(inputs: Dict[str, Any]) -> Dict[str, float]:
-    return _hierarchy_checks(inputs["hierarchy"].process(coalesce_warp(inputs["walk"])))
+    return _hierarchy_checks(inputs["hierarchy"].process(coalesce_warp(inputs["walk"]))[0])
 
 
 def _walk_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
     addresses = inputs["walk"].materialize()
-    return _hierarchy_checks(inputs["hierarchy"].process(coalesce_warp(addresses)))
+    return _hierarchy_checks(inputs["hierarchy"].process(coalesce_warp(addresses))[0])
 
 
 #: Launches that re-issue one gather, as PageRank's rank update issues
@@ -412,15 +413,23 @@ def _gather_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
 def _gather_launches(
     inputs: Dict[str, Any], stream: Callable[[AddressGather], Any]
 ) -> Dict[str, float]:
+    """Each launch's one stream through the hierarchy's stream log,
+    priced at the end; the streams' statistics merged."""
+    log = inputs["hierarchy"].log
     gather = AddressGather(1 << 20, 4, inputs["indices"])
-    total = MemoryStats()
+    streams: List[MemoryStats] = []
     for _ in range(GATHER_LAUNCHES):
-        total = total.merged(inputs["hierarchy"].process(coalesce_warp(stream(gather))))
+        log.channel(coalesce_warp, warp_size=WARP_SIZE).record(stream(gather))
+        log.end_launch(lambda memory, dram_s, stats, lo, hi: streams.append(stats[lo]))
+    log.flush()
+    total = MemoryStats()
+    for stats in streams:
+        total = total.merged(stats)
     return _hierarchy_checks(total)
 
 
 def _gather_run(inputs: Dict[str, Any]) -> Dict[str, float]:
-    """One descriptor priced every launch: the first pricing memoizes."""
+    """One descriptor priced every launch: the log prices it once."""
     return _gather_launches(inputs, lambda gather: gather)
 
 
@@ -469,13 +478,16 @@ def _launch_checks(totals: List[Tuple[MemoryStats, float]]) -> Dict[str, float]:
 
 
 def _launch_run(inputs: Dict[str, Any]) -> Dict[str, float]:
-    """Each launch through the coalescer and one launch tally."""
-    totals = []
+    """Every launch recorded in the hierarchy's stream log, priced at
+    the end in one flush."""
+    log = inputs["hierarchy"].log
+    totals: List[Tuple[MemoryStats, float]] = []
     for streams in inputs["launches"]:
-        tally = inputs["hierarchy"].launch()
+        record = log.channel(coalesce_warp, warp_size=WARP_SIZE).record
         for stream, l2_bypass in streams:
-            tally.add(coalesce_warp(stream), l2_bypass=l2_bypass)
-        totals.append((tally.stats(), tally.dram_s))
+            record(stream, l2_bypass=l2_bypass)
+        log.end_launch(lambda memory, dram_s, *streams: totals.append((memory, dram_s)))
+    log.flush()
     return _launch_checks(totals)
 
 
@@ -490,7 +502,7 @@ def _launch_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
         for stream, l2_bypass in streams:
             if isinstance(stream, AddressWalk):
                 stream = stream.materialize()
-            stats = hierarchy.process(coalesce_warp_reference(stream), l2_bypass=l2_bypass)
+            stats = hierarchy.process(coalesce_warp_reference(stream), l2_bypass=l2_bypass)[0]
             dram_s += hierarchy.dram_time_s(stats)
             memory = memory.merged(stats)
         totals.append((memory, dram_s))

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mem.address_space import AddressGather, AddressWalk, DeviceArray
-from ..mem.coalescer import CoalesceResult, coalesce_stream, coalesce_warp
-from ..mem.hierarchy import MemoryHierarchy, MemoryStats
-from ..obs import NULL_OBS, Observability
+from ..mem.coalescer import coalesce_stream
+from ..mem.hierarchy import StreamStats
+from ..obs import Observability
 from .config import ScuConfig
 
 
@@ -44,8 +44,8 @@ class ScuStream:
     random_access: bool = False
 
 
-def coalesce_scu_stream(stream: ScuStream, config: ScuConfig) -> CoalesceResult:
-    """Run one stream through the SCU coalescing unit.
+def scu_merge_window(stream: ScuStream, config: ScuConfig) -> int:
+    """The merge window the SCU coalescing unit applies to ``stream``.
 
     The merge window of Table 1 counts pending *requests*; the Data
     Fetch unit issues 8-byte beats, so with 4-byte stream elements one
@@ -56,37 +56,32 @@ def coalesce_scu_stream(stream: ScuStream, config: ScuConfig) -> CoalesceResult:
     Hash-table probes are scattered and almost never merge; they go
     through the same window and pay full price.
     """
-    window = 1 if stream.random_access else 2 * config.coalescer_merge_window
-    return coalesce_stream(stream.addresses, merge_window=window)
+    return 1 if stream.random_access else 2 * config.coalescer_merge_window
 
 
-def streams_memory_stats(
-    streams: list[ScuStream],
-    config: ScuConfig,
-    hierarchy: MemoryHierarchy,
-    *,
-    obs: Observability = NULL_OBS,
-) -> tuple[MemoryStats, float]:
-    """Coalesce and price every stream of one operation.
-
-    Returns the merged statistics plus the serialized-drain DRAM time
-    (per-stream sum — the same interleaving argument as the GPU device:
-    random hash probes break the sequential walks' row locality).
-    ``obs`` records each stream's coalescing behaviour by role, which is
-    how hash-probe scatter shows up next to sequential walks.
-    """
-    tally = hierarchy.launch()
+def record_scu_streams(streams: list[ScuStream], config: ScuConfig, log) -> None:
+    """Record one operation's streams in a hierarchy's stream log, each
+    to be coalesced by :func:`coalesce_stream` with its merge window."""
     for stream in streams:
-        stats = tally.add(coalesce_scu_stream(stream, config))
-        if obs.enabled and stats.transactions:
-            metrics = obs.metrics
-            metrics.counter("scu.stream.transactions").inc(
-                stats.transactions, role=stream.role
-            )
+        window = scu_merge_window(stream, config)
+        log.channel(coalesce_stream, merge_window=window).record(stream.addresses)
+
+
+def observe_scu_streams(
+    obs: Observability, roles: list[str], stats: StreamStats, lo: int, hi: int
+) -> None:
+    """Record each priced stream's coalescing behaviour by role — how
+    hash-probe scatter shows up next to sequential walks.  Stream
+    ``lo + k`` of ``stats`` has role ``roles[k]``."""
+    metrics = obs.metrics
+    transactions = stats.stream_transactions[lo:hi].tolist()
+    accesses = stats.stream_accesses[lo:hi].tolist()
+    for role, issued, requested in zip(roles, transactions, accesses):
+        if issued:
+            metrics.counter("scu.stream.transactions").inc(issued, role=role)
             metrics.histogram("scu.stream.coalesce_factor").observe(
-                stats.coalescing_factor, role=stream.role
+                requested / issued, role=role
             )
-    return tally.stats(), tally.dram_s
 
 
 # -- stream builders, one vocabulary shared by all operations ---------------

@@ -8,9 +8,10 @@ object.  Every method:
    :mod:`repro.core.filtering` / :mod:`repro.core.grouping`);
 2. constructs the operation's *address streams* (which vectors were
    walked, which were gathered) via :mod:`repro.core.pipeline`;
-3. prices them with the shared memory hierarchy and the SCU timing and
-   energy models, returning the result together with a
-   :class:`~repro.phases.PhaseReport`.
+3. records them in the shared memory hierarchy's stream log and returns
+   the result together with a :class:`~repro.phases.PhaseReport` that
+   settles — through the SCU timing and energy models — when the log is
+   priced.
 
 The enhanced SCU's two-step filtering/grouping protocol (Section 4.1)
 maps onto: a ``*_pass`` method that produces the bitmask / reorder
@@ -28,7 +29,7 @@ import numpy as np
 from ..errors import OperationError
 from ..mem.address_space import DeviceArray, DeviceContext
 from ..mem.coalescer import LINE_BYTES
-from ..mem.hierarchy import MemoryHierarchy, MemoryStats
+from ..mem.hierarchy import MemoryHierarchy, MemoryStats, StreamStats
 from ..obs import NULL_OBS, Observability
 from ..phases import Engine, PhaseKind, PhaseReport
 from . import ops
@@ -42,9 +43,10 @@ from .pipeline import (
     bitmask_read,
     gather_read,
     hash_probe,
+    observe_scu_streams,
+    record_scu_streams,
     sequential_read,
     sequential_write,
-    streams_memory_stats,
     walk_read,
 )
 from .timing import scu_op_timing
@@ -94,9 +96,49 @@ class StreamCompactionUnit:
         streams: list[ScuStream],
         hash_probes: int = 0,
     ) -> PhaseReport:
-        memory, dram_s = streams_memory_stats(
-            streams, self.config, self.hierarchy, obs=self.obs
+        """Record the operation's streams and return its pending report,
+        settled when the hierarchy's stream log is priced."""
+        log = self.hierarchy.log
+        record_scu_streams(streams, self.config, log)
+        phase_args = None
+        if self.obs.enabled:
+            phase_args = self.obs.tracer.instant(
+                "scu.phase", "scu", phase=name, elements=elements
+            )
+        report = PhaseReport.pending(
+            log,
+            name=name,
+            engine=Engine.SCU,
+            kind=PhaseKind.COMPACTION,
+            elements=elements,
+            instructions=elements,  # one pipeline slot per element
         )
+        log.end_launch(
+            functools.partial(
+                self._finish,
+                report,
+                phase_args,
+                [stream.role for stream in streams],
+                hash_probes=hash_probes,
+            )
+        )
+        return report
+
+    def _finish(
+        self,
+        report: PhaseReport,
+        phase_args: dict | None,
+        roles: list[str],
+        memory: MemoryStats,
+        dram_s: float,
+        stats: StreamStats,
+        lo: int,
+        hi: int,
+        *,
+        hash_probes: int,
+    ) -> None:
+        """Settle one operation's report from its priced streams."""
+        elements = report.elements
         timing = scu_op_timing(
             self.config,
             self.hierarchy,
@@ -114,7 +156,8 @@ class StreamCompactionUnit:
             busy_time_s=timing.total_s,
         )
         if self.obs.enabled:
-            op = name.split("(", 1)[0]
+            observe_scu_streams(self.obs, roles, stats, lo, hi)
+            op = report.name.split("(", 1)[0]
             metrics = self.obs.metrics
             metrics.counter("scu.op.count").inc(op=op)
             metrics.counter("scu.op.elements").inc(elements, op=op)
@@ -122,26 +165,14 @@ class StreamCompactionUnit:
             metrics.counter("scu.op.bottleneck").inc(term=timing.bottleneck)
             if hash_probes:
                 metrics.counter("scu.hash.probes").inc(hash_probes)
-            self.obs.tracer.instant(
-                "scu.phase",
-                "scu",
-                phase=name,
-                elements=elements,
-                sim_time_s=timing.total_s,
-                sim_energy_j=energy,
-                bottleneck=timing.bottleneck,
-                dram_bytes=memory.dram_bytes,
-            )
-        return PhaseReport(
-            name=name,
-            engine=Engine.SCU,
-            kind=PhaseKind.COMPACTION,
-            elements=elements,
-            instructions=elements,  # one pipeline slot per element
-            time_s=timing.total_s,
-            dynamic_energy_j=energy,
-            memory=memory,
-        )
+            if phase_args is not None:  # traced when recorded
+                phase_args.update(
+                    sim_time_s=timing.total_s,
+                    sim_energy_j=energy,
+                    bottleneck=timing.bottleneck,
+                    dram_bytes=memory.dram_bytes,
+                )
+        report.settle(timing.total_s, energy, memory)
 
     def _output(self, name: str, values: np.ndarray, elem_bytes: int = 4) -> DeviceArray:
         return self.ctx.array(name, values, elem_bytes=elem_bytes)

@@ -1,19 +1,22 @@
 """The GPU device model: executes :class:`KernelSpec` cost descriptions.
 
 ``GpuDevice.run`` is the single entry point the algorithms use for GPU
-work: it coalesces every access stream warp-by-warp, pushes the
-transactions through the shared memory hierarchy, applies the timing and
-energy models, and returns a :class:`~repro.phases.PhaseReport`.
+work: it records every access stream in the shared memory hierarchy's
+stream log and returns a :class:`~repro.phases.PhaseReport` that settles
+when the log is priced — every stream coalesced warp-by-warp, its
+transactions pushed through the hierarchy, the timing and energy models
+applied.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..mem.address_space import AddressGather, AddressWalk
-from ..mem.coalescer import coalesce_warp
-from ..mem.hierarchy import MemoryHierarchy
+from ..mem.coalescer import WARP_SIZE, coalesce_warp
+from ..mem.hierarchy import MemoryHierarchy, MemoryStats
 from ..obs import NULL_OBS, Observability
 from ..phases import Engine, PhaseReport
 from .config import GpuConfig
@@ -69,6 +72,12 @@ class GpuDevice:
     def run(self, spec: KernelSpec) -> PhaseReport:
         """Execute (cost-model) one kernel launch.
 
+        The launch's streams are recorded in the hierarchy's stream log
+        and priced later with every other pending launch; the returned
+        report's cost fields settle then (see
+        :class:`~repro.mem.hierarchy.StreamLog`).  The IRU, a functional
+        reorder of the coalescer's input, runs now.
+
         DRAM time is summed per access stream rather than computed on
         the merged aggregate: interleaving a random gather with a
         sequential stream destroys the latter's row locality, so the
@@ -76,10 +85,11 @@ class GpuDevice:
         cannot hide under a streaming store's bandwidth.
         """
         tracer = self.obs.tracer
+        log = self.hierarchy.log
+        record = log.channel(coalesce_warp, warp_size=WARP_SIZE).record
         with tracer.span(
             spec.name, "gpu-kernel", **(spec.trace_args() if tracer.enabled else {})
         ) as span:
-            tally = self.hierarchy.launch()
             iru_elements = 0
             for stream in spec.accesses:
                 addresses = stream.addresses
@@ -102,64 +112,89 @@ class GpuDevice:
                         addresses, count = intercepted
                         active_mask = None  # mask pre-applied by the unit
                         iru_elements += count
-                tally.add(
-                    coalesce_warp(addresses, active_mask=active_mask),
-                    l2_bypass=stream.l2_bypass,
-                )
-            memory = tally.stats()
-            iru_overhead_s = 0.0
-            iru_energy_j = 0.0
-            if iru_elements:
-                iru_overhead_s = self.reorderer.exposed_time_s(iru_elements)
-                iru_energy_j = self.reorderer.dynamic_energy_j(iru_elements)
-            atomics = spec.atomic_count
-            timing = kernel_timing(
-                self.config,
-                self.hierarchy,
-                instructions=spec.total_instructions,
-                memory=memory,
-                atomics=atomics,
-                memory_efficiency=spec.memory_efficiency,
-                dram_s_override=tally.dram_s,
-                obs=self.obs,
-            )
-            energy = kernel_dynamic_energy_j(
-                self.config,
-                self.hierarchy,
-                instructions=spec.total_instructions,
-                memory=memory,
-                atomics=atomics,
-                busy_time_s=timing.total_s + spec.extra_overhead_s,
-            )
-            time_s = timing.total_s + spec.extra_overhead_s + iru_overhead_s
-            energy += iru_energy_j
-            if self.obs.enabled:
-                metrics = self.obs.metrics
-                metrics.counter("gpu.kernel.launches").inc(kernel=spec.name)
-                metrics.counter("gpu.kernel.transactions").inc(memory.transactions)
-                if memory.transactions:
-                    metrics.histogram("gpu.warp.coalesce_factor").observe(
-                        memory.coalescing_factor, kernel=spec.name
-                    )
-                if iru_elements:
-                    metrics.counter("iru.kernel.elements").inc(
-                        iru_elements, kernel=spec.name
-                    )
-                    metrics.counter("iru.kernel.exposed_s").inc(iru_overhead_s)
-                span.annotate(
-                    sim_time_s=time_s,
-                    sim_energy_j=energy,
-                    bottleneck=timing.bottleneck,
-                    transactions=memory.transactions,
-                    dram_bytes=memory.dram_bytes,
-                )
-            return PhaseReport(
+                record(addresses, active_mask=active_mask, l2_bypass=stream.l2_bypass)
+        report = PhaseReport.pending(
+            log,
+            name=spec.name,
+            engine=Engine.GPU,
+            kind=spec.kind,
+            elements=spec.threads,
+            instructions=spec.total_instructions,
+        )
+        log.end_launch(
+            functools.partial(
+                self._finish,
+                report,
+                span,
                 name=spec.name,
-                engine=Engine.GPU,
-                kind=spec.kind,
-                elements=spec.threads,
                 instructions=spec.total_instructions,
-                time_s=time_s,
-                dynamic_energy_j=energy,
-                memory=memory,
+                atomics=spec.atomic_count,
+                memory_efficiency=spec.memory_efficiency,
+                extra_overhead_s=spec.extra_overhead_s,
+                iru_elements=iru_elements,
             )
+        )
+        return report
+
+    def _finish(
+        self,
+        report: PhaseReport,
+        span,
+        memory: MemoryStats,
+        dram_s: float,
+        stats,
+        lo: int,
+        hi: int,
+        *,
+        name: str,
+        instructions: int,
+        atomics: int,
+        memory_efficiency: float,
+        extra_overhead_s: float,
+        iru_elements: int,
+    ) -> None:
+        """Settle one launch's report from its priced streams."""
+        iru_overhead_s = 0.0
+        iru_energy_j = 0.0
+        if iru_elements:
+            iru_overhead_s = self.reorderer.exposed_time_s(iru_elements)
+            iru_energy_j = self.reorderer.dynamic_energy_j(iru_elements)
+        timing = kernel_timing(
+            self.config,
+            self.hierarchy,
+            instructions=instructions,
+            memory=memory,
+            atomics=atomics,
+            memory_efficiency=memory_efficiency,
+            dram_s_override=dram_s,
+            obs=self.obs,
+        )
+        energy = kernel_dynamic_energy_j(
+            self.config,
+            self.hierarchy,
+            instructions=instructions,
+            memory=memory,
+            atomics=atomics,
+            busy_time_s=timing.total_s + extra_overhead_s,
+        )
+        time_s = timing.total_s + extra_overhead_s + iru_overhead_s
+        energy += iru_energy_j
+        if self.obs.enabled:
+            metrics = self.obs.metrics
+            metrics.counter("gpu.kernel.launches").inc(kernel=name)
+            metrics.counter("gpu.kernel.transactions").inc(memory.transactions)
+            if memory.transactions:
+                metrics.histogram("gpu.warp.coalesce_factor").observe(
+                    memory.coalescing_factor, kernel=name
+                )
+            if iru_elements:
+                metrics.counter("iru.kernel.elements").inc(iru_elements, kernel=name)
+                metrics.counter("iru.kernel.exposed_s").inc(iru_overhead_s)
+            span.annotate(
+                sim_time_s=time_s,
+                sim_energy_j=energy,
+                bottleneck=timing.bottleneck,
+                transactions=memory.transactions,
+                dram_bytes=memory.dram_bytes,
+            )
+        report.settle(time_s, energy, memory)

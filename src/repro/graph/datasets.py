@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict
 
 from ..errors import GraphError
+from ..obs.lru import LruCache
 from .csr import CsrGraph
 from .generators import (
     generate_collaboration,
@@ -83,7 +84,10 @@ DATASETS: Dict[str, DatasetSpec] = {
 #: Paper ordering of the datasets, used by every figure.
 DATASET_NAMES = tuple(DATASETS)
 
-_CACHE: Dict[tuple, CsrGraph] = {}
+#: Built datasets by ``(name, seed)``.  The seed is the client's choice,
+#: so the cache is bounded: it holds one seed's whole registry, and a
+#: client cycling through seeds evicts the least recently used graph.
+_CACHE = LruCache(len(DATASET_NAMES))
 
 
 def load_dataset(name: str, *, seed: int = 42, cache: bool = True) -> CsrGraph:
@@ -92,11 +96,11 @@ def load_dataset(name: str, *, seed: int = 42, cache: bool = True) -> CsrGraph:
         known = ", ".join(DATASETS)
         raise GraphError(f"unknown dataset {name!r}; known datasets: {known}")
     key = (name, seed)
-    if cache and key in _CACHE:
-        return _CACHE[key]
-    graph = DATASETS[name].factory(seed)
-    if cache:
-        _CACHE[key] = graph
+    graph = _CACHE.get(key) if cache else None
+    if graph is None:
+        graph = DATASETS[name].factory(seed)
+        if cache:
+            _CACHE.put(key, graph)
     return graph
 
 

@@ -14,6 +14,7 @@ from .coalescer import (
     SECTOR_BYTES,
     WARP_SIZE,
     CoalesceResult,
+    StreamBatch,
     coalesce_stream,
     coalesce_stream_reference,
     coalesce_warp,
@@ -23,7 +24,13 @@ from .coalescer import (
 )
 from .dram import GDDR5, LPDDR4, DramConfig, DramModel, DramTraffic
 from .dram_sim import BankedDramSim, DramSimResult, DramTimingParams
-from .hierarchy import MemoryHierarchy, MemoryStats, row_hit_fraction
+from .hierarchy import (
+    MemoryHierarchy,
+    MemoryStats,
+    StreamLog,
+    StreamStats,
+    row_hit_fraction,
+)
 from .locality import (
     LocalityProfile,
     estimate_hit_rate,
@@ -42,6 +49,9 @@ __all__ = [
     "CacheStats",
     "SetAssociativeCache",
     "CoalesceResult",
+    "StreamBatch",
+    "StreamLog",
+    "StreamStats",
     "coalesce_warp",
     "coalesce_stream",
     "coalesce_warp_reference",

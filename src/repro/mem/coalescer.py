@@ -12,19 +12,20 @@ Two coalescers live here:
   (Section 3.2.3): a sliding merge window over an in-order request
   stream (Table 1: 32 in-flight requests, 4-element merge window).
 
-Both are exact (they look at real addresses) and vectorized, and each
+Both are exact (they look at real addresses) and price a
+:class:`StreamBatch` — many streams, in order — in segmented NumPy
+passes; a single stream is a batch of one through the same code.  Each
 keeps its original sort/scan body as a ``*_reference`` twin that the
-fast paths are pinned equal to.  Both also accept an
-:class:`~repro.mem.address_space.AddressWalk` and price it in integer
-arithmetic when its sector ids are contiguous (see :func:`_walk_span`),
-and an :class:`~repro.mem.address_space.AddressGather`, which they price
-through its addresses once per set of parameters (see
-:func:`_price_gather`).
+batch paths are pinned equal to.  A batch holds an
+:class:`~repro.mem.address_space.AddressWalk` with contiguous sector ids
+as its ``(base, count, elem_bytes)`` and prices it in integer arithmetic
+(see :meth:`StreamBatch.add`); every other stream as an owned copy of
+its sector ids.  The stream log of :mod:`repro.mem.hierarchy` builds the
+batches and adds the gathers an earlier pricing memoized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -40,78 +41,223 @@ LINE_BYTES = 128
 WARP_SIZE = 32
 
 
-@dataclass
-class GatherPricing:
-    """What pricing one gather with one coalescer configuration gave.
+#: Kinds of stream a :class:`StreamBatch` holds.
+EMPTY = 0  #: no element issues an access
+WALK = 1  #: a walk with contiguous sector ids, priced in closed form
+IDS = 2  #: an array of sector ids the batch owns
+KNOWN = 3  #: a gather whose numbers a previous pricing memoized
+REPEAT = 4  #: a gather priced by an earlier stream of the same batch
 
-    Lives in the gather's memo.  ``hierarchy`` is filled by
-    :meth:`~repro.mem.hierarchy.MemoryHierarchy.process`: it maps that
-    hierarchy's pricing parameters to the unique L2 lines and row-hit
-    fraction of the transaction stream.
+
+class StreamBatch:
+    """Streams one coalescer configuration prices together, in order.
+
+    Exactly one of ``warp_size`` (the warp coalescer) and
+    ``merge_window`` (the stream coalescer) is given.  :meth:`add`
+    reduces each stream to what pricing needs at the time it is added:
+    a walk with contiguous sector ids to its ``(base, count,
+    elem_bytes)``, anything else to an owned copy of its
+    (active) sector ids — padded to whole warps with the last lane for
+    the warp coalescer — so a caller that later changes its buffer
+    cannot change a price.
     """
 
-    accesses: int
-    transactions: int
-    hierarchy: dict = field(default_factory=dict)
+    __slots__ = (
+        "warp_size",
+        "merge_window",
+        "sector_bytes",
+        "_shift",
+        "_min_walk_elem",
+        "kinds",
+        "walks",
+        "ids",
+        "id_counts",
+        "known",
+        "repeats",
+    )
+
+    def __init__(
+        self,
+        *,
+        warp_size: int | None = None,
+        merge_window: int | None = None,
+        sector_bytes: int = SECTOR_BYTES,
+    ) -> None:
+        if (warp_size is None) == (merge_window is None):
+            raise SimulationError("a stream batch needs one of warp_size and merge_window")
+        if warp_size is not None and warp_size <= 0:
+            raise SimulationError(f"warp_size must be positive, got {warp_size}")
+        if merge_window is not None and merge_window <= 0:
+            raise SimulationError(f"merge_window must be positive, got {merge_window}")
+        _check_sector_bytes(sector_bytes)
+        self.warp_size = warp_size
+        self.merge_window = merge_window
+        self.sector_bytes = sector_bytes
+        self._shift = int(sector_bytes).bit_length() - 1
+        #: narrowest element a walk in closed form may have:
+        #: ceil(sector / elem) <= merge_window
+        self._min_walk_elem = 1 if merge_window is None else -(-sector_bytes // merge_window)
+        self.kinds: list[int] = []
+        #: (base, count, elem_bytes) of each WALK stream
+        self.walks: list[tuple[int, int, int]] = []
+        #: owned sector ids of each IDS stream, and how many are real
+        self.ids: list[np.ndarray] = []
+        self.id_counts: list[int] = []
+        #: (accesses, transactions, unique L2 lines, row-hit fraction)
+        #: of each KNOWN stream
+        self.known: list[tuple[int, int, int, float]] = []
+        #: batch index of the stream each REPEAT stream repeats
+        self.repeats: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def add(
+        self,
+        addresses: np.ndarray | AddressWalk | AddressGather,
+        active_mask: np.ndarray | None = None,
+    ) -> int:
+        """Append one stream; returns how many sector ids it stores."""
+        if isinstance(addresses, AddressWalk):
+            base, count, elem = addresses.base, addresses.count, addresses.elem_bytes
+            # A walk from a non-negative base whose elements are no
+            # wider than a sector steps its sector id by 0 or 1 per
+            # element: the ids are non-decreasing and take every value
+            # from the first to the last.  The stream coalescer also
+            # needs runs that fit its window: at most ceil(sector / elem)
+            # elements share a sector.
+            if (
+                active_mask is None
+                and count
+                and base >= 0
+                and self._min_walk_elem <= elem <= self.sector_bytes
+            ):
+                self.kinds.append(WALK)
+                self.walks.append((base, count, elem))
+                return 0
+            addresses = addresses.materialize()
+        elif isinstance(addresses, AddressGather):
+            addresses = addresses.materialize()
+        addresses = np.asarray(addresses, dtype=np.int64)
+        if active_mask is not None:
+            if self.warp_size is None:
+                raise SimulationError("the stream coalescer takes no active mask")
+            active_mask = np.asarray(active_mask, dtype=bool)
+            if active_mask.shape != addresses.shape:
+                raise SimulationError("active_mask must be parallel to addresses")
+            addresses = addresses[active_mask]
+        n = addresses.size
+        if n == 0:
+            self.kinds.append(EMPTY)
+            return 0
+        if self.warp_size is None:
+            ids = addresses >> self._shift
+        else:
+            # A padding lane repeats the last lane's id, so it merges
+            # into that lane's transaction.
+            ids = np.empty(-(-n // self.warp_size) * self.warp_size, dtype=np.int64)
+            np.right_shift(addresses, self._shift, out=ids[:n])
+            ids[n:] = ids[n - 1]
+        self.kinds.append(IDS)
+        self.ids.append(ids)
+        self.id_counts.append(n)
+        return ids.size
+
+    def add_known(self, accesses: int, transactions: int, unique_lines: int, row_hit: float) -> None:
+        """Append a stream a previous pricing measured."""
+        self.kinds.append(KNOWN)
+        self.known.append((accesses, transactions, unique_lines, row_hit))
+
+    def add_repeat(self, index: int) -> None:
+        """Append a stream identical to the batch's stream ``index``."""
+        self.kinds.append(REPEAT)
+        self.repeats.append(index)
+
+    @classmethod
+    def of(
+        cls,
+        addresses: np.ndarray | AddressWalk | AddressGather,
+        active_mask: np.ndarray | None = None,
+        **params,
+    ) -> "StreamBatch":
+        """A batch of the one stream ``addresses``."""
+        batch = cls(**params)
+        batch.add(addresses, active_mask)
+        return batch
 
 
-@dataclass(frozen=True, init=False)
 class CoalesceResult:
-    """Outcome of running an address stream through a coalescer.
+    """Outcome of running a batch of address streams through a coalescer.
+
+    Per stream, in batch order: its accesses and transactions
+    (``stream_accesses``, ``stream_transactions``), its kind, the sector
+    span of a WALK stream, and where in :attr:`line_ids` an IDS stream's
+    transaction ids start (``id_starts``; there are ``transactions`` of
+    them, and the IDS streams' segments tile ``line_ids``, though not
+    necessarily in stream order).  KNOWN streams carry their memoized
+    numbers, REPEAT streams the index of the stream they repeat.
+    :attr:`accesses` and :attr:`transactions` are the batch's totals.
 
     ``line_ids`` are **sector** ids at ``sector_bytes`` granularity (one
     per transaction) — not cache-line ids.  Downstream cache models that
     track a different block size must convert via
     :meth:`cache_line_ids`; feeding sector ids straight into a 128-byte
-    line cache silently mis-sizes the working set by 4x.
+    line cache silently mis-sizes the working set by 4x.  A batch of one
+    walk builds its ids from the walk's addresses on first read.
     """
 
-    accesses: int
-    transactions: int
-    #: one sector id per transaction, for cache modeling (read it as
-    #: ``line_ids``; a walk's result builds the array on first read)
-    _line_ids: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
-    sector_bytes: int = SECTOR_BYTES
-    #: ``(first, last)`` sector ids of a walk priced in closed form: its
-    #: ``line_ids`` are non-decreasing and cover every id in the span.
-    span: tuple[int, int] | None = None
-    #: the memo entry of the gather this result priced, if any
-    pricing: GatherPricing | None = None
-    #: True when the coalescer knows ``line_ids`` are non-decreasing
-    #: (False when they are not, or when it does not know)
-    ids_sorted: bool = False
-    #: ``(min, max)`` of ``line_ids`` when the coalescer knows them, so
-    #: the hierarchy's profile need not scan for them
-    bounds: tuple[int, int] | None = None
+    __slots__ = (
+        "sector_bytes",
+        "kinds",
+        "stream_accesses",
+        "stream_transactions",
+        "span_first",
+        "span_last",
+        "id_starts",
+        "_line_ids",
+        "known_unique",
+        "known_row_hit",
+        "repeat_of",
+        "accesses",
+        "transactions",
+    )
 
     def __init__(
         self,
-        accesses: int,
-        transactions: int,
+        *,
+        sector_bytes: int,
+        kinds: np.ndarray,
+        stream_accesses: np.ndarray,
+        stream_transactions: np.ndarray,
+        span_first: np.ndarray,
+        span_last: np.ndarray,
+        id_starts: np.ndarray,
         line_ids: np.ndarray | Callable[[], np.ndarray],
-        sector_bytes: int = SECTOR_BYTES,
-        span: tuple[int, int] | None = None,
-        pricing: GatherPricing | None = None,
-        ids_sorted: bool = False,
-        bounds: tuple[int, int] | None = None,
+        known_unique: np.ndarray,
+        known_row_hit: np.ndarray,
+        repeat_of: np.ndarray,
     ) -> None:
-        # One write past the frozen guard, not one per field: a launch
-        # builds a result per stream.
-        vars(self).update(
-            accesses=accesses,
-            transactions=transactions,
-            _line_ids=line_ids,
-            sector_bytes=sector_bytes,
-            span=span,
-            pricing=pricing,
-            ids_sorted=ids_sorted,
-            bounds=bounds,
-        )
+        self.sector_bytes = sector_bytes
+        self.kinds = kinds
+        self.stream_accesses = stream_accesses
+        self.stream_transactions = stream_transactions
+        self.span_first = span_first
+        self.span_last = span_last
+        self.id_starts = id_starts
+        self._line_ids = line_ids
+        self.known_unique = known_unique
+        self.known_row_hit = known_row_hit
+        self.repeat_of = repeat_of
+        self.accesses = int(stream_accesses.sum())
+        self.transactions = int(stream_transactions.sum())
+
+    def __len__(self) -> int:
+        return int(self.kinds.size)
 
     @property
     def line_ids(self) -> np.ndarray:
         if callable(self._line_ids):
-            object.__setattr__(self, "_line_ids", self._line_ids())
+            self._line_ids = self._line_ids()
         return self._line_ids
 
     @property
@@ -145,6 +291,69 @@ class CoalesceResult:
             )
         return line_bytes // self.sector_bytes
 
+    @classmethod
+    def of_ids(
+        cls, accesses: int, transactions: int, line_ids: np.ndarray, sector_bytes: int
+    ) -> "CoalesceResult":
+        """The result of one stream coalesced into ``line_ids``."""
+        return cls(
+            sector_bytes=sector_bytes,
+            kinds=np.array([IDS if accesses else EMPTY], dtype=np.int8),
+            stream_accesses=np.array([accesses], dtype=np.int64),
+            stream_transactions=np.array([transactions], dtype=np.int64),
+            span_first=np.zeros(1, dtype=np.int64),
+            span_last=np.zeros(1, dtype=np.int64),
+            id_starts=np.zeros(1, dtype=np.int64),
+            line_ids=line_ids,
+            known_unique=np.zeros(1, dtype=np.int64),
+            known_row_hit=np.full(1, 0.5),
+            repeat_of=np.full(1, -1, dtype=np.int64),
+        )
+
+    @classmethod
+    def interleave(cls, parts: list["CoalesceResult"], part_of: np.ndarray) -> "CoalesceResult":
+        """One result of the streams of ``parts`` in the order ``part_of``
+        gives: stream ``i`` is the next stream of ``parts[part_of[i]]``."""
+        if len(parts) == 1:
+            return parts[0]
+        # The parts laid end to end hold the streams sorted by part.
+        order = np.argsort(part_of, kind="stable")
+        source = np.empty_like(order)
+        source[order] = np.arange(order.size)
+        sizes = [len(part) for part in parts]
+        starts = np.zeros(len(parts), dtype=np.int64)
+        np.cumsum(sizes[:-1], out=starts[1:])
+
+        def stacked(name: str) -> np.ndarray:
+            return np.concatenate([getattr(part, name) for part in parts])[source]
+
+        # The parts' ids laid end to end; each segment keeps its place.
+        ids = [part.line_ids for part in parts]
+        id_base = np.zeros(len(parts), dtype=np.int64)
+        np.cumsum([a.size for a in ids[:-1]], out=id_base[1:])
+        id_starts = np.concatenate(
+            [part.id_starts + base for part, base in zip(parts, id_base)]
+        )[source]
+        filled = [a for a in ids if a.size]
+        all_ids = filled[0] if len(filled) == 1 else np.concatenate(ids)
+        repeat_of = stacked("repeat_of")
+        repeats = repeat_of >= 0
+        # A repeat names a stream of its own part: renumber it.
+        repeat_of[repeats] = order[starts[part_of[repeats]] + repeat_of[repeats]]
+        return cls(
+            sector_bytes=parts[0].sector_bytes,
+            kinds=stacked("kinds"),
+            stream_accesses=stacked("stream_accesses"),
+            stream_transactions=stacked("stream_transactions"),
+            span_first=stacked("span_first"),
+            span_last=stacked("span_last"),
+            id_starts=id_starts,
+            line_ids=all_ids,
+            known_unique=stacked("known_unique"),
+            known_row_hit=stacked("known_row_hit"),
+            repeat_of=repeat_of,
+        )
+
 
 def _unique_per_row(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For a 2-D array, return (mask of first occurrences row-wise, sorted array).
@@ -163,62 +372,105 @@ def _check_sector_bytes(sector_bytes: int) -> None:
         raise SimulationError(f"sector_bytes must be a power of two, got {sector_bytes}")
 
 
-def _walk_span(walk: AddressWalk, sector_bytes: int) -> tuple[int, int] | None:
-    """First and last sector id of a walk whose ids are contiguous.
+def _floor_sum(n, m: int, a, b):
+    """``sum(floor((a * i + b) / m) for i in range(n))`` in O(log m) steps,
+    element-wise over int64 arrays ``n``, ``a``, ``b`` (or on plain ints).
 
-    A walk from a non-negative base whose elements are no wider than a
-    sector steps its sector id by 0 or 1 per element: the ids are
-    non-decreasing and take every value from the first to the last.
-    Returns None for an empty walk or one that does not qualify.
+    The Euclid-like reduction for non-negative ``n``, ``a``, ``b`` and
+    positive ``m``: peel off the whole multiples of ``m`` in ``a`` and
+    ``b``, then count the lattice points under the line with the axes
+    swapped.  Each element leaves the loop once its line stays below
+    ``m``; the others take the next step together.
     """
-    if walk.count == 0 or walk.base < 0 or walk.elem_bytes > sector_bytes:
-        return None
-    shift = int(sector_bytes).bit_length() - 1
-    return walk.base >> shift, walk.last >> shift
+    scalar = np.ndim(n) == 0
+    n, a, b = (np.array(x, dtype=np.int64, ndmin=1) for x in (n, a, b))
+    m = np.full(n.size, m, dtype=np.int64)
+    total = np.zeros(n.size, dtype=np.int64)
+    index = np.arange(n.size)
+    while index.size:
+        total[index] += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a = a % m
+        b = b % m
+        y_max = a * n + b
+        going = y_max >= m
+        index, m, a, y_max = index[going], m[going], a[going], y_max[going]
+        n, b = np.divmod(y_max, m)
+        m, a = a, m
+    return int(total[0]) if scalar else total
 
 
-def _price_gather(
-    gather: AddressGather,
-    key: tuple,
-    sector_bytes: int,
-    coalesce: Callable[[np.ndarray], CoalesceResult],
-) -> CoalesceResult:
-    """Coalesce a gather through its addresses once per ``key``.
+def _span_last(base: np.ndarray, count: np.ndarray, elem: np.ndarray, shift: int):
+    return (base + (count - 1) * elem) >> shift
 
-    The first pricing under ``key`` (the coalescer and its parameters)
-    runs ``coalesce`` on the materialized addresses and memoizes the
-    counts on the gather; later ones return them in O(1).  Their
-    ``line_ids`` are rebuilt only if read, so the memo holds no id
-    array.
-    """
 
-    def rebuild_line_ids() -> np.ndarray:
-        return coalesce(gather.materialize()).line_ids
-
-    pricing = gather.memo.get(key)
-    if pricing is None:
-        result = coalesce(gather.materialize())
-        pricing = gather.memo[key] = GatherPricing(result.accesses, result.transactions)
-        return CoalesceResult(
-            accesses=pricing.accesses,
-            transactions=pricing.transactions,
-            line_ids=result.line_ids,
-            sector_bytes=sector_bytes,
-            pricing=pricing,
-            ids_sorted=result.ids_sorted,
-            bounds=result.bounds,
-        )
-    return CoalesceResult(
-        accesses=pricing.accesses,
-        transactions=pricing.transactions,
-        line_ids=rebuild_line_ids,
-        sector_bytes=sector_bytes,
-        pricing=pricing,
+def _empty_result(batch: StreamBatch) -> dict:
+    m = len(batch)
+    return dict(
+        kinds=np.array(batch.kinds, dtype=np.int8),
+        stream_accesses=np.zeros(m, dtype=np.int64),
+        stream_transactions=np.zeros(m, dtype=np.int64),
+        span_first=np.zeros(m, dtype=np.int64),
+        span_last=np.zeros(m, dtype=np.int64),
+        known_unique=np.zeros(m, dtype=np.int64),
+        known_row_hit=np.full(m, 0.5),
+        repeat_of=np.full(m, -1, dtype=np.int64),
     )
 
 
+def _coalesce_batch(batch: StreamBatch, walk_transactions, ids_transactions) -> CoalesceResult:
+    """Price every stream of ``batch``: walks through ``walk_transactions``
+    (base, count, elem_bytes arrays -> transactions), the IDS streams in
+    one pass of ``ids_transactions`` (-> per-stream transactions and
+    their ids), known and repeated streams from what they carry."""
+    fields = _empty_result(batch)
+    kinds = fields["kinds"]
+    accesses = fields["stream_accesses"]
+    transactions = fields["stream_transactions"]
+    shift = batch._shift
+    if batch.walks:
+        at = np.flatnonzero(kinds == WALK)
+        base, count, elem = np.array(batch.walks, dtype=np.int64).T
+        accesses[at] = count
+        transactions[at] = walk_transactions(base, count, elem)
+        fields["span_first"][at] = base >> shift
+        fields["span_last"][at] = _span_last(base, count, elem, shift)
+    id_starts = np.zeros(kinds.size, dtype=np.int64)
+    line_ids = np.empty(0, dtype=np.int64)
+    if batch.ids:
+        at = np.flatnonzero(kinds == IDS)
+        counts = np.array(batch.id_counts, dtype=np.int64)
+        accesses[at] = counts
+        per_stream, line_ids = ids_transactions(batch.ids, counts)
+        transactions[at] = per_stream
+        id_starts[at[1:]] = np.cumsum(per_stream[:-1])
+    if batch.known:
+        at = np.flatnonzero(kinds == KNOWN)
+        known_accesses, known_transactions, unique_lines, row_hit = zip(*batch.known)
+        accesses[at] = known_accesses
+        transactions[at] = known_transactions
+        fields["known_unique"][at] = unique_lines
+        fields["known_row_hit"][at] = row_hit
+    if batch.repeats:
+        at = np.flatnonzero(kinds == REPEAT)
+        source = np.array(batch.repeats, dtype=np.int64)
+        fields["repeat_of"][at] = source
+        accesses[at] = accesses[source]
+        transactions[at] = transactions[source]
+    return CoalesceResult(
+        sector_bytes=batch.sector_bytes, id_starts=id_starts, line_ids=line_ids, **fields
+    )
+
+
+def _check_batch(batch: StreamBatch, **params) -> None:
+    for name, value in params.items():
+        if getattr(batch, name) != value:
+            raise SimulationError(
+                f"batch built with {name}={getattr(batch, name)}, priced with {value}"
+            )
+
+
 def coalesce_warp(
-    addresses: np.ndarray | AddressWalk | AddressGather,
+    addresses: np.ndarray | AddressWalk | AddressGather | StreamBatch,
     *,
     warp_size: int = WARP_SIZE,
     sector_bytes: int = SECTOR_BYTES,
@@ -229,143 +481,45 @@ def coalesce_warp(
     Args:
         addresses: byte address per thread, in thread order.  The stream
             is chopped into consecutive groups of ``warp_size`` (the last
-            warp may be partial).
+            warp may be partial).  A :class:`StreamBatch` built for the
+            same parameters prices all its streams at once.
         active_mask: optional boolean array marking active lanes;
             inactive lanes issue no access (predicated-off threads).
 
-    When the (active) addresses' sector ids are non-decreasing and not
-    negative, every warp's row is already sorted: a transaction starts
-    exactly where the id changes or a warp begins, and the per-warp sort
-    is skipped.  Other non-negative streams take one sorting pass (see
-    :func:`_coalesce_warp_unsorted`); streams with negative addresses go
-    to :func:`coalesce_warp_reference`.  Both paths return exactly what
-    the reference would, and record on the result whether the ids are
-    sorted and their bounds, so the hierarchy does not scan them again.
-
-    An unmasked :class:`AddressWalk` with contiguous sector ids (see
-    :func:`_walk_span`) is priced in integer arithmetic, without its
-    addresses (see :func:`_coalesce_warp_walk`).  Any other walk is
-    materialized first.  An unmasked :class:`AddressGather` is priced
-    once per parameter set (see :func:`_price_gather`); a masked one is
-    materialized.
+    Any other input is priced as a batch of one, through the same code.
+    A walk with contiguous sector ids (see :meth:`StreamBatch.add`) is
+    priced in integer arithmetic (see :func:`_warp_walk_transactions`); every
+    array stream of the batch is sorted warp by warp in one pass (see
+    :func:`_warp_ids_transactions`).  Both return exactly what
+    :func:`coalesce_warp_reference` would.
     """
-    if warp_size <= 0:
-        raise SimulationError(f"warp_size must be positive, got {warp_size}")
-    _check_sector_bytes(sector_bytes)
-    if isinstance(addresses, AddressWalk):
-        span = _walk_span(addresses, sector_bytes)
-        if span is not None and active_mask is None:
-            return _coalesce_warp_walk(addresses, span, warp_size, sector_bytes)
-        addresses = addresses.materialize()
-    elif isinstance(addresses, AddressGather):
-        if active_mask is None:
-            return _price_gather(
-                addresses,
-                ("warp", warp_size, sector_bytes),
-                sector_bytes,
-                lambda a: coalesce_warp(a, warp_size=warp_size, sector_bytes=sector_bytes),
-            )
-        addresses = addresses.materialize()
-    addresses = np.asarray(addresses, dtype=np.int64)
-    if active_mask is not None:
-        active_mask = np.asarray(active_mask, dtype=bool)
-        if active_mask.shape != addresses.shape:
-            raise SimulationError("active_mask must be parallel to addresses")
-        addresses = addresses[active_mask]
-    n = addresses.size
-    if n == 0:
-        return CoalesceResult(0, 0, np.empty(0, dtype=np.int64), sector_bytes)
-
-    # The sector ids go straight into a grid of whole warps; the padding
-    # lanes are only written if the unsorted path needs them.
-    shift = int(sector_bytes).bit_length() - 1
-    grid = np.empty(-(-n // warp_size) * warp_size, dtype=np.int64)
-    lines = grid[:n]
-    np.right_shift(addresses, shift, out=lines)
-    if (lines[1:] < lines[:-1]).any():
-        return _coalesce_warp_unsorted(addresses, grid, n, warp_size, sector_bytes)
-    if lines[0] < 0:
-        # The reference drops id -1 as padding; keep its answer.
-        return coalesce_warp_reference(
-            addresses, warp_size=warp_size, sector_bytes=sector_bytes
+    if isinstance(addresses, StreamBatch):
+        if active_mask is not None:
+            raise SimulationError("a batch carries its streams' masks")
+        _check_batch(addresses, warp_size=warp_size, sector_bytes=sector_bytes)
+        batch = addresses
+    else:
+        batch = StreamBatch.of(
+            addresses, active_mask, warp_size=warp_size, sector_bytes=sector_bytes
         )
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    np.not_equal(lines[1:], lines[:-1], out=first[1:])
-    first[::warp_size] = True
-    line_ids = lines[first]
-    return CoalesceResult(
-        accesses=n,
-        transactions=int(line_ids.size),
-        line_ids=line_ids,
-        sector_bytes=sector_bytes,
-        ids_sorted=True,
-        bounds=(int(lines[0]), int(lines[-1])),
+    result = _coalesce_batch(
+        batch,
+        lambda base, count, elem: _warp_walk_transactions(
+            base, count, elem, warp_size, sector_bytes
+        ),
+        lambda ids, counts: _warp_ids_transactions(ids, warp_size),
     )
+    if isinstance(addresses, AddressWalk) and result.kinds[0] == WALK:
+        result._line_ids = lambda: coalesce_warp_reference(
+            addresses.materialize(), warp_size=warp_size, sector_bytes=sector_bytes
+        ).line_ids
+    return result
 
 
-def _coalesce_warp_unsorted(
-    addresses: np.ndarray, grid: np.ndarray, n: int, warp_size: int, sector_bytes: int
-) -> CoalesceResult:
-    """One pass of :func:`coalesce_warp` over unsorted sector ids.
-
-    ``grid`` holds the ``n`` ids followed by the padding lanes of the
-    partial last warp.  A padding lane repeats the last lane's id, so it
-    merges into that lane's transaction and needs no filtering.  Each
-    warp's row is sorted once; a transaction starts where a sorted row's
-    id changes.  The first and last columns of the sorted rows give the
-    ids' bounds, and the ids are sorted when each row ends at or below
-    the next row's start.
-    """
-    grid[n:] = grid[n - 1]
-    rows = grid.reshape(-1, warp_size)
-    rows.sort(axis=1)
-    low = int(rows[:, 0].min())
-    if low < 0:
-        return coalesce_warp_reference(
-            addresses, warp_size=warp_size, sector_bytes=sector_bytes
-        )
-    first = np.empty(rows.shape, dtype=bool)
-    first[:, 0] = True
-    np.not_equal(rows[:, 1:], rows[:, :-1], out=first[:, 1:])
-    line_ids = rows[first]
-    return CoalesceResult(
-        accesses=n,
-        transactions=int(line_ids.size),
-        line_ids=line_ids,
-        sector_bytes=sector_bytes,
-        ids_sorted=rows.shape[0] == 1 or bool((rows[1:, 0] >= rows[:-1, -1]).all()),
-        bounds=(low, int(rows[:, -1].max())),
-    )
-
-
-def _floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """``sum(floor((a * i + b) / m) for i in range(n))`` in O(log m).
-
-    The Euclid-like reduction for non-negative ``n``, ``a``, ``b`` and
-    positive ``m``: peel off the whole multiples of ``m`` in ``a`` and
-    ``b``, then count the lattice points under the line with the axes
-    swapped.
-    """
-    total = 0
-    while True:
-        if a >= m:
-            total += n * (n - 1) // 2 * (a // m)
-            a %= m
-        if b >= m:
-            total += n * (b // m)
-            b %= m
-        y_max = a * n + b
-        if y_max < m:
-            return total
-        n, b = divmod(y_max, m)
-        m, a = a, m
-
-
-def _coalesce_warp_walk(
-    walk: AddressWalk, span: tuple[int, int], warp_size: int, sector_bytes: int
-) -> CoalesceResult:
-    """Closed form of :func:`coalesce_warp` on a walk with contiguous ids.
+def _warp_walk_transactions(
+    base: np.ndarray, count: np.ndarray, elem: np.ndarray, warp_size: int, sector_bytes: int
+) -> np.ndarray:
+    """Closed form of :func:`coalesce_warp` on walks with contiguous ids.
 
     Warp ``w`` issues one transaction per sector from its first lane's
     to its last lane's.  Over the ``full`` whole warps those are two
@@ -375,29 +529,130 @@ def _coalesce_warp_walk(
     sector offset and the floor sums take one step.
     """
     shift = int(sector_bytes).bit_length() - 1
-    n, base, elem = walk.count, walk.base, walk.elem_bytes
-    full, lanes = divmod(n, warp_size)
+    full, lanes = np.divmod(count, warp_size)
     stride = warp_size * elem
     reach = (warp_size - 1) * elem
-    transactions = (
-        full
-        + _floor_sum(full, sector_bytes, stride, base + reach)
-        - _floor_sum(full, sector_bytes, stride, base)
+    k = full.size
+    sums = _floor_sum(
+        np.concatenate([full, full]),
+        sector_bytes,
+        np.concatenate([stride, stride]),
+        np.concatenate([base + reach, base]),
     )
-    if lanes:
-        start = base + full * stride
-        transactions += ((start + (lanes - 1) * elem) >> shift) - (start >> shift) + 1
-    return CoalesceResult(
-        accesses=n,
-        transactions=transactions,
-        line_ids=lambda: coalesce_warp(
-            walk.materialize(), warp_size=warp_size, sector_bytes=sector_bytes
-        ).line_ids,
-        sector_bytes=sector_bytes,
-        span=span,
-        ids_sorted=True,
-        bounds=span,
+    transactions = full + sums[:k] - sums[k:]
+    start = base + full * stride
+    partial = ((start + (lanes - 1) * elem) >> shift) - (start >> shift) + 1
+    return transactions + np.where(lanes > 0, partial, 0)
+
+
+def _warp_ids_transactions(
+    ids: list[np.ndarray], warp_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-stream transactions and transaction ids of padded warp grids.
+
+    Each stream's ids fill whole warps (its padding lanes repeat its last
+    lane).  All warps of all streams are sorted row by row in one pass
+    (skipped when every row already is); a transaction starts where a
+    sorted row's id changes.  The reference
+    pads with id -1 and drops that id, so a real id of -1 is dropped
+    too (only negative addresses produce it).
+    """
+    grid = ids[0] if len(ids) == 1 else np.concatenate(ids)
+    rows = grid.reshape(-1, warp_size)
+    # Each id against its left neighbour, a warp's first lane against
+    # the previous warp's last (overwritten below: a warp starts a
+    # transaction).
+    step = np.empty(grid.size, dtype=bool)
+    np.less(grid[1:], grid[:-1], out=step[1:])
+    step[::warp_size] = False
+    if step.any():  # some warp is out of order: sort them all
+        rows.sort(axis=1)
+    first = step
+    np.not_equal(grid[1:], grid[:-1], out=first[1:])
+    first[::warp_size] = True
+    if rows[:, 0].min() < 0:
+        first &= grid != -1
+    line_ids = grid[first]
+    if len(ids) == 1:
+        return np.array([line_ids.size]), line_ids
+    starts = np.zeros(len(ids), dtype=np.int64)
+    np.cumsum([a.size for a in ids[:-1]], out=starts[1:])
+    return np.add.reduceat(first, starts, dtype=np.int64), line_ids
+
+
+def coalesce_stream(
+    addresses: np.ndarray | AddressWalk | AddressGather | StreamBatch,
+    *,
+    merge_window: int = 4,
+    sector_bytes: int = SECTOR_BYTES,
+) -> CoalesceResult:
+    """Coalesce an in-order request stream with a bounded merge window.
+
+    Models the SCU coalescing unit: a pending transaction absorbs
+    consecutive requests to the same sector, up to ``merge_window``
+    elements per transaction (Table 1: 4-element merge window).  A
+    request to a different sector — or the window filling up — issues a
+    new transaction.  A :class:`StreamBatch` built for the same
+    parameters prices all its streams at once; any other input is priced
+    as a batch of one, through the same code.
+
+    A walk with contiguous sector ids (see :meth:`StreamBatch.add`) whose
+    runs fit the window — at most ``ceil(sector_bytes / elem_bytes)``
+    elements share a sector — issues one transaction per sector of its
+    span, ``last - first + 1``, without its addresses.  Array streams
+    are priced in one run-length pass (see
+    :func:`_stream_ids_transactions`).
+    """
+    if isinstance(addresses, StreamBatch):
+        _check_batch(addresses, merge_window=merge_window, sector_bytes=sector_bytes)
+        batch = addresses
+    else:
+        batch = StreamBatch.of(
+            addresses, merge_window=merge_window, sector_bytes=sector_bytes
+        )
+    shift = batch._shift
+    result = _coalesce_batch(
+        batch,
+        lambda base, count, elem: _span_last(base, count, elem, shift) - (base >> shift) + 1,
+        lambda ids, counts: _stream_ids_transactions(ids, counts, merge_window),
     )
+    if isinstance(addresses, AddressWalk) and result.kinds[0] == WALK:
+        first, last = int(result.span_first[0]), int(result.span_last[0])
+        result._line_ids = lambda: np.arange(first, last + 1, dtype=np.int64)
+    return result
+
+
+def _stream_ids_transactions(
+    ids: list[np.ndarray], counts: np.ndarray, merge_window: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run-length form of :func:`coalesce_stream` over many streams.
+
+    A run of ``k`` consecutive same-sector requests issues
+    ``ceil(k / merge_window)`` transactions to that sector, which is
+    exactly the window positions :func:`coalesce_stream_reference` keeps,
+    in the same order, for any input.  Every stream starts a run.
+    """
+    lines = ids[0] if len(ids) == 1 else np.concatenate(ids)
+    if merge_window == 1:
+        return counts, lines
+    starts = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    run_start = np.empty(lines.size, dtype=bool)
+    np.not_equal(lines[1:], lines[:-1], out=run_start[1:])
+    run_start[starts] = True
+    runs = np.flatnonzero(run_start)
+    line_ids = lines[runs]
+    first_run = np.append(np.searchsorted(runs, starts), runs.size)
+    # No run is longer than what the other runs leave of the ids, so the
+    # run lengths are only needed when that bound passes the window.
+    if lines.size - runs.size + 1 <= merge_window:
+        return np.diff(first_run), line_ids
+    per_run = (np.diff(runs, append=lines.size) + (merge_window - 1)) // merge_window
+    if per_run.max() > 1:
+        line_ids = np.repeat(line_ids, per_run)
+    issued = np.zeros(runs.size + 1, dtype=np.int64)
+    np.cumsum(per_run, out=issued[1:])
+    return np.diff(issued[first_run]), line_ids
 
 
 def coalesce_warp_reference(
@@ -420,7 +675,7 @@ def coalesce_warp_reference(
         addresses = addresses[active_mask]
     n = addresses.size
     if n == 0:
-        return CoalesceResult(0, 0, np.empty(0, dtype=np.int64), sector_bytes)
+        return CoalesceResult.of_ids(0, 0, np.empty(0, dtype=np.int64), sector_bytes)
 
     shift = int(sector_bytes).bit_length() - 1
     lines = addresses >> shift
@@ -430,100 +685,7 @@ def coalesce_warp_reference(
     grid = lines.reshape(-1, warp_size)
     first, rows_sorted = _unique_per_row(grid)
     keep = first & (rows_sorted != -1)
-    return CoalesceResult(
-        accesses=n,
-        transactions=int(keep.sum()),
-        line_ids=rows_sorted[keep],
-        sector_bytes=sector_bytes,
-    )
-
-
-def coalesce_stream(
-    addresses: np.ndarray | AddressWalk | AddressGather,
-    *,
-    merge_window: int = 4,
-    sector_bytes: int = SECTOR_BYTES,
-) -> CoalesceResult:
-    """Coalesce an in-order request stream with a bounded merge window.
-
-    Models the SCU coalescing unit: a pending transaction absorbs
-    consecutive requests to the same sector, up to ``merge_window``
-    elements per transaction (Table 1: 4-element merge window).  A
-    request to a different sector — or the window filling up — issues a
-    new transaction.
-
-    Run-length form: a run of ``k`` consecutive same-sector requests
-    issues ``ceil(k / merge_window)`` transactions to that sector, which
-    is exactly the window positions :func:`coalesce_stream_reference`
-    keeps, in the same order, for any input.  When no run outgrows the
-    window (a sequential walk, a random gather) that is one transaction
-    per run.  The result says whether the ids are sorted and carries
-    their bounds, for the hierarchy.
-
-    An :class:`AddressWalk` with contiguous sector ids (see
-    :func:`_walk_span`) whose runs fit the window — at most
-    ``ceil(sector_bytes / elem_bytes)`` elements share a sector — issues
-    one transaction per sector of its span, without its addresses.  Any
-    other walk is materialized first.  An :class:`AddressGather` is
-    priced once per parameter set (see :func:`_price_gather`).
-    """
-    if merge_window <= 0:
-        raise SimulationError(f"merge_window must be positive, got {merge_window}")
-    _check_sector_bytes(sector_bytes)
-    if isinstance(addresses, AddressWalk):
-        span = _walk_span(addresses, sector_bytes)
-        if span is not None and -(-sector_bytes // addresses.elem_bytes) <= merge_window:
-            first, last = span
-            return CoalesceResult(
-                accesses=addresses.count,
-                transactions=last - first + 1,
-                line_ids=lambda: np.arange(first, last + 1, dtype=np.int64),
-                sector_bytes=sector_bytes,
-                span=span,
-                ids_sorted=True,
-                bounds=span,
-            )
-        addresses = addresses.materialize()
-    elif isinstance(addresses, AddressGather):
-        return _price_gather(
-            addresses,
-            ("stream", merge_window, sector_bytes),
-            sector_bytes,
-            lambda a: coalesce_stream(
-                a, merge_window=merge_window, sector_bytes=sector_bytes
-            ),
-        )
-    addresses = np.asarray(addresses, dtype=np.int64)
-    n = addresses.size
-    if n == 0:
-        return CoalesceResult(0, 0, np.empty(0, dtype=np.int64), sector_bytes)
-
-    shift = int(sector_bytes).bit_length() - 1
-    lines = addresses >> shift
-    run_start = np.empty(n, dtype=bool)
-    run_start[0] = True
-    np.not_equal(lines[1:], lines[:-1], out=run_start[1:])
-    line_ids = lines[run_start]
-    # No run is longer than what the other runs leave of the stream, so
-    # the run lengths are only needed when that bound passes the window.
-    if n - line_ids.size + 1 > merge_window:
-        run_lengths = np.diff(run_start.nonzero()[0], append=n)
-        if run_lengths.max() > merge_window:
-            per_run = (run_lengths + (merge_window - 1)) // merge_window
-            line_ids = np.repeat(line_ids, per_run)
-    ids_sorted = not (line_ids[1:] < line_ids[:-1]).any()
-    if ids_sorted:
-        bounds = (int(line_ids[0]), int(line_ids[-1]))
-    else:
-        bounds = (int(line_ids.min()), int(line_ids.max()))
-    return CoalesceResult(
-        accesses=n,
-        transactions=int(line_ids.size),
-        line_ids=line_ids,
-        sector_bytes=sector_bytes,
-        ids_sorted=ids_sorted,
-        bounds=bounds,
-    )
+    return CoalesceResult.of_ids(n, int(keep.sum()), rows_sorted[keep], sector_bytes)
 
 
 def coalesce_stream_reference(
@@ -540,7 +702,7 @@ def coalesce_stream_reference(
     addresses = np.asarray(addresses, dtype=np.int64)
     n = addresses.size
     if n == 0:
-        return CoalesceResult(0, 0, np.empty(0, dtype=np.int64), sector_bytes)
+        return CoalesceResult.of_ids(0, 0, np.empty(0, dtype=np.int64), sector_bytes)
 
     shift = int(sector_bytes).bit_length() - 1
     lines = addresses >> shift
@@ -551,12 +713,7 @@ def coalesce_stream_reference(
     start_index = np.maximum.accumulate(np.where(run_start, indices, 0))
     position = indices - start_index
     keep = position % merge_window == 0
-    return CoalesceResult(
-        accesses=n,
-        transactions=int(keep.sum()),
-        line_ids=lines[keep],
-        sector_bytes=sector_bytes,
-    )
+    return CoalesceResult.of_ids(n, int(keep.sum()), lines[keep], sector_bytes)
 
 
 def sequential_addresses(

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..obs import NULL_OBS, Observability
 
@@ -104,18 +106,39 @@ class DramModel:
     ) -> float:
         """:meth:`transfer_time_s` of ``accesses > 0`` transactions, on
         plain numbers (``row_hit_fraction`` already in range)."""
+        return float(
+            self.drain_times_s(
+                np.array([accesses]), np.array([bytes_transferred]), np.array([row_hit_fraction])
+            )[0]
+        )
+
+    def drain_times_s(
+        self,
+        accesses: np.ndarray,
+        bytes_transferred: np.ndarray,
+        row_hit_fraction: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`transfer_time_s` of many streams, element-wise; 0.0 for
+        a stream without accesses.  Observed streams are recorded in
+        order."""
         bandwidth_time = bytes_transferred / self.effective_bandwidth(row_hit_fraction)
         # A single access cannot beat the device latency.
         latency_floor = self.config.access_latency_ns * 1e-9
-        time_s = max(bandwidth_time, latency_floor)
+        times = np.where(accesses > 0, np.maximum(bandwidth_time, latency_floor), 0.0)
         if self.obs.enabled:
             metrics = self.obs.metrics
-            metrics.counter("mem.dram.requests").inc(accesses, device=self.config.name)
-            metrics.counter("mem.dram.time_s").inc(time_s, device=self.config.name)
-            metrics.histogram("mem.dram.row_hit_fraction").observe(
-                row_hit_fraction, device=self.config.name
-            )
-        return time_s
+            device = self.config.name
+            requests = metrics.counter("mem.dram.requests")
+            time_s = metrics.counter("mem.dram.time_s")
+            row_hits = metrics.histogram("mem.dram.row_hit_fraction")
+            live = accesses > 0
+            for count, t, fraction in zip(
+                accesses[live].tolist(), times[live].tolist(), row_hit_fraction[live].tolist()
+            ):
+                requests.inc(count, device=device)
+                time_s.inc(t, device=device)
+                row_hits.observe(fraction, device=device)
+        return times
 
     def dynamic_energy_j(self, traffic: DramTraffic) -> float:
         """Transfer energy + activation energy for the row misses."""

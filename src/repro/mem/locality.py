@@ -99,13 +99,14 @@ def profile_lines_reference(line_ids: np.ndarray) -> LocalityProfile:
     return LocalityProfile(int(line_ids.size), int(np.unique(line_ids).size))
 
 
-def reuse_hit_rate(accesses: int, unique_lines: int, capacity_lines: float) -> float:
-    """The reuse model's hit rate on plain numbers (``accesses > 0``).
+def reuse_hit_rate(accesses, unique_lines, capacity_lines: float):
+    """The reuse model's hit rate (``accesses > 0``), on plain numbers or
+    element-wise on arrays — the same float operations either way.
 
     ``capacity_lines`` is the cache capacity over its line size; the
     caller has checked both are positive.
     """
-    residency = min(1.0, capacity_lines / max(unique_lines, 1))
+    residency = np.minimum(1.0, capacity_lines / np.maximum(unique_lines, 1))
     return ((accesses - unique_lines) * residency) / accesses
 
 

@@ -36,24 +36,30 @@ TRACE_TID = 1
 
 
 class SpanHandle:
-    """Mutable handle to an open span; lets the body attach result args.
+    """Mutable handle to a span; lets the body attach result args.
 
     Arguments attached via :meth:`annotate` are emitted on the span's
     end event (Perfetto merges begin- and end-event args), so a phase
     can record its *outcome* — simulated time, DRAM bytes — computed
-    after the span began.
+    after the span began.  Annotating a closed span adds to the end
+    event it already emitted: a launch whose cost is priced after its
+    span closed still lands its outcome there.
     """
 
-    __slots__ = ("name", "category", "start_us", "extra")
+    __slots__ = ("name", "category", "start_us", "extra", "end_event")
 
     def __init__(self, name: str, category: str, start_us: float):
         self.name = name
         self.category = category
         self.start_us = start_us
         self.extra: Dict[str, Any] = {}
+        #: the emitted end event, once the span closed
+        self.end_event: Dict[str, Any] | None = None
 
     def annotate(self, **args: Any) -> "SpanHandle":
         self.extra.update(args)
+        if self.end_event is not None and self.extra:
+            self.end_event["args"] = self.extra
         return self
 
 
@@ -114,6 +120,7 @@ class Tracer:
         }
         if handle.extra:
             event["args"] = handle.extra
+        handle.end_event = event
         self.events.append(event)
 
     @contextmanager
@@ -127,7 +134,9 @@ class Tracer:
 
     # -- instants and counters ----------------------------------------------
 
-    def instant(self, name: str, category: str = "sim", **args: Any) -> None:
+    def instant(self, name: str, category: str = "sim", **args: Any) -> Dict[str, Any]:
+        """Record a marker; returns its args, which a caller may still
+        fill in (an event with args holds the same dict)."""
         event = {
             "name": name,
             "cat": category,
@@ -140,6 +149,7 @@ class Tracer:
         if args:
             event["args"] = args
         self.events.append(event)
+        return args
 
     def counter(self, name: str, **values: float) -> None:
         """Record one sample of a counter series (``frontier.size`` etc.)."""
@@ -215,8 +225,8 @@ class NullTracer(Tracer):
     def span(self, name: str, category: str = "sim", **args: Any) -> _NullSpan:
         return _NULL_SPAN
 
-    def instant(self, name: str, category: str = "sim", **args: Any) -> None:
-        pass
+    def instant(self, name: str, category: str = "sim", **args: Any) -> Dict[str, Any]:
+        return args
 
     def counter(self, name: str, **values: float) -> None:
         pass

@@ -33,9 +33,19 @@ class PhaseKind(enum.Enum):
     PROCESSING = "processing"
 
 
+#: The fields a pending report fills in when its stream log is priced.
+COST_FIELDS = ("time_s", "dynamic_energy_j", "memory")
+
+
 @dataclass(frozen=True)
 class PhaseReport:
-    """Cost accounting of one kernel launch or SCU operation."""
+    """Cost accounting of one kernel launch or SCU operation.
+
+    The engines return a *pending* report (:meth:`pending`): its cost
+    fields are filled in when the hierarchy's stream log is priced,
+    which the first read of any of them triggers.  A settled report
+    holds no reference to the log.
+    """
 
     name: str
     engine: Engine
@@ -49,6 +59,33 @@ class PhaseReport:
     def __post_init__(self) -> None:
         if self.time_s < 0 or self.dynamic_energy_j < 0:
             raise ValueError(f"phase {self.name}: negative cost")
+
+    @classmethod
+    def pending(cls, log, **fields) -> "PhaseReport":
+        """A report whose cost fields ``log.flush()`` will settle."""
+        report = object.__new__(cls)
+        vars(report).update(fields, _log=log)
+        return report
+
+    def settle(self, time_s: float, dynamic_energy_j: float, memory: MemoryStats) -> None:
+        """Fill in a pending report's cost fields (the log's flush)."""
+        state = vars(self)
+        state.update(time_s=time_s, dynamic_energy_j=dynamic_energy_j, memory=memory)
+        del state["_log"]
+        self.__post_init__()
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes not set yet: a pending cost field.
+        log = vars(self).get("_log")
+        if log is None or name not in COST_FIELDS:
+            raise AttributeError(name)
+        log.flush()
+        return vars(self)[name]
+
+    def __getstate__(self) -> dict:
+        if "_log" in vars(self):
+            self._log.flush()
+        return vars(self)
 
 
 @dataclass

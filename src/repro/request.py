@@ -23,6 +23,7 @@ with no list to keep in sync.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import warnings
@@ -207,8 +208,11 @@ class RunRequest:
             raise ProtocolError(
                 f"unknown gpu {payload['gpu']!r}; known: {known}"
             )
+        _check_driver_kwargs(payload["algorithm"], ALGORITHMS[payload["algorithm"]], raw_kwargs)
         if "memory_scale" in raw_kwargs:
             _check_memory_scale(raw_kwargs["memory_scale"], payload["gpu"])
+        if "source" in raw_kwargs:
+            _check_source(raw_kwargs["source"], payload["dataset"], seed)
         return cls.make(
             payload["algorithm"],
             payload["dataset"],
@@ -216,6 +220,36 @@ class RunRequest:
             mode,
             seed=seed,
             **raw_kwargs,
+        )
+
+
+def _check_driver_kwargs(algorithm: str, driver: Any, kwargs: dict) -> None:
+    """Reject kwargs the algorithm's driver does not take (its keyword
+    parameters, plus the system's ``memory_scale``)."""
+    parameters = inspect.signature(driver).parameters.values()
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters):
+        return
+    known = {p.name for p in parameters if p.kind is inspect.Parameter.KEYWORD_ONLY}
+    known.add("memory_scale")
+    unknown = sorted(set(kwargs) - known)
+    if unknown:
+        raise ProtocolError(
+            f"unknown kwargs for {algorithm}: {', '.join(unknown)}; "
+            f"known: {', '.join(sorted(known))}"
+        )
+
+
+def _check_source(source: Any, dataset: str, seed: int) -> None:
+    """Reject a ``source`` that is not a node of the requested graph."""
+    from .graph.datasets import load_dataset
+
+    if isinstance(source, bool) or not isinstance(source, int):
+        raise ProtocolError(f"kwargs['source'] must be an integer, got {source!r}")
+    nodes = load_dataset(dataset, seed=seed).num_nodes
+    if not 0 <= source < nodes:
+        raise ProtocolError(
+            f"kwargs['source'] {source} is not a node of {dataset} "
+            f"(seed {seed}: {nodes} nodes)"
         )
 
 

@@ -24,8 +24,10 @@ text format, service + process-global registries).
 from __future__ import annotations
 
 import signal
+import sys
 import threading
 import time
+import traceback
 import urllib.parse
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -33,7 +35,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..errors import (
     ProtocolError,
-    ReproError,
     ServiceError,
     ServiceOverloadError,
     ServiceTimeoutError,
@@ -1044,9 +1045,14 @@ class RequestHandler(BaseHTTPRequestHandler):
                 )
             request = parse_run_request(self.rfile.read(length))
             response = self.service.handle_run(request, ctx)
-        except (ReproError, ValueError) as exc:
+        except Exception as exc:  # noqa: BLE001 — every failure gets a response
+            # A client error maps to its 4xx; anything else is a 500
+            # ``internal`` that still carries the request id and a
+            # journal row, never a dropped connection.
             error = exc
             status, body, extra = self._error_response(exc)
+            if status == 500:  # a server fault: keep its traceback
+                traceback.print_exception(exc, file=sys.stderr)
         else:
             status, body, extra = 200, encode(response), ()
         # Journal before the response bytes leave: a client that has

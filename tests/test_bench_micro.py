@@ -176,7 +176,7 @@ class TestCommittedBaseline:
     def test_baseline_proves_gather_memo_speedup(self):
         baseline = MicroArtifact.load("benchmarks/baseline_micro.json")
         record = baseline.record_map()[("hierarchy.gather", 50_000)]
-        assert record.speedup is not None and record.speedup >= 2.0
+        assert record.speedup is not None and record.speedup >= 5.0
 
     def test_baseline_proves_unsorted_warp_pass_beats_reference(self):
         # random addresses: the one-pass unsorted path, not a fallback
@@ -187,7 +187,8 @@ class TestCommittedBaseline:
     def test_baseline_proves_launch_pricing_speedup(self):
         baseline = MicroArtifact.load("benchmarks/baseline_micro.json")
         record = baseline.record_map()[("hierarchy.launch", 1600)]
-        assert record.speedup is not None and record.speedup >= 1.5
+        # the stream log prices all 200 launches in one flush
+        assert record.speedup is not None and record.speedup >= 5.0
 
     def test_current_checksums_match_baseline(self, quick_artifact):
         baseline = MicroArtifact.load("benchmarks/baseline_micro.json")

@@ -1,12 +1,13 @@
-"""Stream descriptors and launch tallies change no report.
+"""Stream descriptors and the stream log change no report.
 
 Walks and gathers are priced without their addresses, a back-to-back
-SCU expansion is read as a walk, and a launch's streams are totalled on
-plain numbers.  With every descriptor forced down the materialized path,
-the expansion down its index path and every launch down the per-stream
-``process`` / ``dram_time_s`` / ``merged`` loop, the ``/run`` body of
-every cell below must not change by a byte; and PageRank's simulated
-metrics stay those of the committed quick baseline.
+SCU expansion is read as a walk, and every run's streams are priced
+from one log in segmented passes.  With every descriptor forced down
+the materialized path, the expansion down its index path and every
+launch down the test-built per-stream loop (reference coalescers,
+per-stream ``process`` formulas, ``dram_time_s`` and ``merged``), the
+``/run`` body of every cell of the grid must not change by a byte; and
+PageRank's simulated metrics stay those of the committed quick baseline.
 """
 
 import itertools
@@ -16,9 +17,11 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms import clear_run_cache, execute_request
+from repro.backends import available_modes
 from repro.bench.record import SimMetrics
 from repro.core import ops
 from repro.gpu import GPU_SYSTEMS
+from repro.graph.datasets import DATASET_NAMES
 from repro.mem.address_space import Allocation
 from repro.request import RunRequest
 from repro.serve.protocol import encode, run_response
@@ -26,26 +29,11 @@ from tests.test_launch_tally import price_launches_per_stream
 
 BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "baseline_quick.json"
 
+ALGORITHMS = ["bfs", "sssp", "pagerank", "connected_components"]
+
+#: The whole grid: every algorithm, dataset, GPU and mode.
 CELLS = list(
-    itertools.product(
-        ["pagerank", "connected_components"],
-        ["kron", "msdoor"],
-        ["GTX980", "TX1"],
-        ["gpu", "scu-enhanced"],
-    )
-) + list(
-    # frontier algorithms: single-range and consecutive-node expansions
-    # are walks too, in every mode; the frontier datasets on both GPUs
-    itertools.product(
-        ["bfs", "sssp"],
-        ["ca", "cond", "delaunay"],
-        ["GTX980", "TX1"],
-        ["gpu", "scu-basic", "scu-enhanced", "iru"],
-    )
-) + list(
-    itertools.product(
-        ["bfs", "sssp"], ["human"], ["TX1"], ["gpu", "scu-basic", "scu-enhanced", "iru"]
-    )
+    itertools.product(ALGORITHMS, DATASET_NAMES, ["GTX980", "TX1"], available_modes())
 )
 
 

@@ -139,6 +139,19 @@ class TestRegistry:
         assert a is b
         clear_dataset_cache()
 
+    def test_cache_is_bounded_whatever_the_seeds(self):
+        # The seed is a client's choice; cycling through seeds must not
+        # grow the cache past one seed's whole registry.
+        from repro.graph.datasets import _CACHE
+
+        clear_dataset_cache()
+        assert _CACHE.capacity == len(DATASET_NAMES)
+        graphs = [load_dataset("delaunay", seed=seed) for seed in range(len(DATASET_NAMES) + 3)]
+        assert len(_CACHE) == len(DATASET_NAMES)
+        assert load_dataset("delaunay", seed=len(DATASET_NAMES) + 2) is graphs[-1]
+        assert load_dataset("delaunay", seed=0) is not graphs[0]  # evicted, rebuilt
+        clear_dataset_cache()
+
     def test_cache_bypass(self):
         a = load_dataset("delaunay", seed=9, cache=False)
         b = load_dataset("delaunay", seed=9, cache=False)

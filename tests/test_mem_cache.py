@@ -21,7 +21,7 @@ from repro.mem import (
     profile_lines_reference,
     row_hit_fraction,
 )
-from repro.mem.coalescer import SECTOR_BYTES, coalesce_stream, coalesce_warp
+from repro.mem.coalescer import WALK, SECTOR_BYTES, coalesce_stream, coalesce_warp
 from repro.mem.locality import BITMAP_SPAN_FACTOR
 from repro.obs import make_observability
 from tests.test_mem_coalescer import ORDERS, gathers, ordered, walks
@@ -335,10 +335,10 @@ class TestHierarchyPricesWalksExactly:
             (coalesce_stream, dict(merge_window=merge_window)),
         ):
             kwargs["sector_bytes"] = sector_bytes
-            closed = hierarchy.process(coalesce(walk, **kwargs), l2_bypass=l2_bypass)
+            closed = hierarchy.process(coalesce(walk, **kwargs), l2_bypass=l2_bypass)[0]
             materialized = hierarchy.process(
                 coalesce(walk.materialize(), **kwargs), l2_bypass=l2_bypass
-            )
+            )[0]
             assert closed == materialized
 
     def test_narrower_l2_line_rejected_on_the_span_path(self):
@@ -346,9 +346,9 @@ class TestHierarchyPricesWalksExactly:
             l2_capacity_bytes=1 << 20, dram=GDDR5, l2_line_bytes=16
         )
         result = coalesce_warp(AddressWalk(0, 64, 4))
-        assert result.span is not None
+        assert result.kinds[0] == WALK
         with pytest.raises(SimulationError):
-            hierarchy.process(result)
+            hierarchy.process(result)[0]
 
     @given(
         st.lists(st.integers(min_value=0, max_value=1 << 14), max_size=300),
@@ -390,33 +390,39 @@ class TestHierarchyPricesGathersOnce:
         ):
             materialized = hierarchy.process(
                 coalesce(gather.materialize(), **kwargs), l2_bypass=l2_bypass
-            )
+            )[0]
             for _ in range(2):
                 result = coalesce(gather, **kwargs)
-                assert hierarchy.process(result, l2_bypass=l2_bypass) == materialized
+                assert hierarchy.process(result, l2_bypass=l2_bypass)[0] == materialized
 
     def test_repeated_process_reads_the_memo(self, monkeypatch):
         rng = np.random.default_rng(5)
         gather = AddressGather(1 << 16, 4, rng.integers(0, 1 << 14, size=5000))
         hierarchy = MemoryHierarchy(l2_capacity_bytes=1 << 14, dram=GDDR5)
-        first = hierarchy.process(coalesce_warp(gather))
+
+        def launch(target):
+            priced = []
+            target.log.channel(coalesce_warp, warp_size=32).record(gather)
+            target.log.end_launch(lambda memory, *rest: priced.append(memory))
+            target.log.flush()
+            return priced[0]
+
+        first = launch(hierarchy)
+        assert first == hierarchy.process(coalesce_warp(gather.materialize()))[0]
 
         def unreachable(*args, **kwargs):
             raise AssertionError("a memoized gather was profiled again")
 
-        monkeypatch.setattr("repro.mem.hierarchy.profile_lines", unreachable)
-        monkeypatch.setattr("repro.mem.hierarchy.row_hit_fraction", unreachable)
+        monkeypatch.setattr("repro.mem.hierarchy._profile_segments", unreachable)
         for _ in range(3):
-            assert hierarchy.process(coalesce_warp(gather)) == first
+            assert launch(hierarchy) == first
         # Another hierarchy geometry is priced on its own, through the
-        # line ids the memoized result rebuilds.
+        # gather's addresses.
         monkeypatch.undo()
         wide = MemoryHierarchy(
             l2_capacity_bytes=1 << 14, dram=GDDR5, l2_line_bytes=128
         )
-        assert wide.process(coalesce_warp(gather)) == wide.process(
-            coalesce_warp(gather.materialize())
-        )
+        assert launch(wide) == wide.process(coalesce_warp(gather.materialize()))[0]
 
     def test_obs_counters_advance_per_call(self):
         rng = np.random.default_rng(6)
@@ -426,7 +432,7 @@ class TestHierarchyPricesGathersOnce:
             obs = make_observability()
             hierarchy = MemoryHierarchy(l2_capacity_bytes=1 << 13, dram=GDDR5, obs=obs)
             for _ in range(3):
-                hierarchy.process(coalesce_warp(stream))
+                hierarchy.process(coalesce_warp(stream))[0]
             snapshots.append(obs.metrics.snapshot())
         assert snapshots[0]["mem.l2.transactions"]["series"][0]["value"] > 0
         assert snapshots[0] == snapshots[1]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.mem import (
+    GDDR5,
     SECTOR_BYTES,
     AddressGather,
     AddressWalk,
@@ -15,10 +16,11 @@ from repro.mem import (
     coalesce_stream_reference,
     coalesce_warp,
     coalesce_warp_reference,
+    MemoryHierarchy,
     gather_addresses,
     sequential_addresses,
 )
-from repro.mem.coalescer import _floor_sum
+from repro.mem.coalescer import EMPTY, IDS, WALK, _floor_sum
 
 
 class TestWarpCoalescer:
@@ -286,14 +288,14 @@ walks = st.builds(
 
 class TestWalksMatchMaterialized:
     """A walk coalesces exactly like its materialized addresses, whether
-    it takes the closed form (``span`` set) or falls back."""
+    it takes the closed form (kind ``WALK``) or falls back."""
 
     @given(walks, st.integers(min_value=1, max_value=40), st.sampled_from([16, 32, 64]))
     @settings(max_examples=300, deadline=None)
     def test_warp(self, walk, warp_size, sector_bytes):
         kwargs = dict(warp_size=warp_size, sector_bytes=sector_bytes)
         result = coalesce_warp(walk, **kwargs)
-        assert (result.span is not None) == (
+        assert (result.kinds[0] == WALK) == (
             walk.count > 0 and walk.elem_bytes <= sector_bytes
         )
         assert_same_result(result, coalesce_warp(walk.materialize(), **kwargs))
@@ -308,7 +310,7 @@ class TestWalksMatchMaterialized:
         kwargs = dict(merge_window=merge_window, sector_bytes=sector_bytes)
         result = coalesce_stream(walk, **kwargs)
         per_sector = -(-sector_bytes // walk.elem_bytes)
-        assert (result.span is not None) == (
+        assert (result.kinds[0] == WALK) == (
             walk.count > 0
             and walk.elem_bytes <= sector_bytes
             and per_sector <= merge_window
@@ -331,11 +333,11 @@ class TestWalksMatchMaterialized:
     def test_negative_base_and_masked_walks_fall_back(self):
         walk = AddressWalk(-64, 40, 4)
         result = coalesce_warp(walk)
-        assert result.span is None
+        assert result.kinds[0] == IDS
         assert_same_result(result, coalesce_warp_reference(walk.materialize()))
         mask = np.arange(40) % 3 != 0
         masked = coalesce_warp(AddressWalk(0, 40, 4), active_mask=mask)
-        assert masked.span is None
+        assert masked.kinds[0] == IDS
         assert_same_result(
             masked, coalesce_warp(sequential_addresses(40), active_mask=mask)
         )
@@ -360,8 +362,9 @@ gathers = st.builds(
 
 
 class TestGathersMatchMaterialized:
-    """A gather coalesces exactly like its materialized addresses, on the
-    first pricing (through the array path) and on every memoized one."""
+    """A gather coalesces exactly like its materialized addresses, on
+    every pricing; the coalescers leave memoizing to the stream log
+    (``tests/test_launch_tally.py``), which alone knows the hierarchy."""
 
     @given(gathers, st.integers(min_value=1, max_value=40), st.sampled_from([16, 32, 64]))
     @settings(max_examples=200, deadline=None)
@@ -370,8 +373,9 @@ class TestGathersMatchMaterialized:
         expected = coalesce_warp(gather.materialize(), **kwargs)
         for _ in range(2):
             result = coalesce_warp(gather, **kwargs)
-            assert result.pricing is gather.memo[("warp", warp_size, sector_bytes)]
+            assert result.kinds[0] == (IDS if gather.size else EMPTY)
             assert_same_result(result, expected)
+        assert not gather.memo
 
     @given(gathers, st.integers(min_value=1, max_value=16), st.sampled_from([16, 32, 64]))
     @settings(max_examples=200, deadline=None)
@@ -383,24 +387,32 @@ class TestGathersMatchMaterialized:
 
     def test_each_parameter_set_is_priced_on_its_own(self):
         gather = AddressGather(0, 4, np.arange(0, 640, 3))
-        coalesce_warp(gather)
-        coalesce_warp(gather, warp_size=8)
-        coalesce_stream(gather, merge_window=8)
+        log = MemoryHierarchy(l2_capacity_bytes=1 << 14, dram=GDDR5).log
+        log.channel(coalesce_warp, warp_size=WARP_SIZE).record(gather)
+        log.channel(coalesce_warp, warp_size=8).record(gather)
+        log.channel(coalesce_stream, merge_window=8).record(gather)
+        log.end_launch(lambda *priced: None)
+        log.flush()
+        line, row = SECTOR_BYTES, GDDR5.row_bytes
         assert set(gather.memo) == {
-            ("warp", WARP_SIZE, SECTOR_BYTES),
-            ("warp", 8, SECTOR_BYTES),
-            ("stream", 8, SECTOR_BYTES),
+            ((("warp_size", WARP_SIZE),), line, row),
+            ((("warp_size", 8),), line, row),
+            ((("merge_window", 8),), line, row),
         }
-        assert_same_result(
-            coalesce_warp(gather, warp_size=8),
-            coalesce_warp(gather.materialize(), warp_size=8),
+        assert gather.memo[((("warp_size", 8),), line, row)][:2] == (
+            gather.size,
+            coalesce_warp(gather.materialize(), warp_size=8).transactions,
         )
 
     def test_masked_gather_is_materialized(self):
         gather = AddressGather(0, 4, np.arange(40)[::-1])
         mask = np.arange(40) % 3 != 0
         result = coalesce_warp(gather, active_mask=mask)
-        assert result.pricing is None and not gather.memo
+        log = MemoryHierarchy(l2_capacity_bytes=1 << 14, dram=GDDR5).log
+        log.channel(coalesce_warp, warp_size=WARP_SIZE).record(gather, active_mask=mask)
+        log.end_launch(lambda *priced: None)
+        log.flush()
+        assert not gather.memo
         assert_same_result(
             result, coalesce_warp(gather.materialize(), active_mask=mask)
         )
@@ -433,10 +445,13 @@ class TestWarpWalkClosedForm:
         walk = AddressWalk(base, count, elem_bytes)
         kwargs = dict(warp_size=warp_size, sector_bytes=sector_bytes)
         result = coalesce_warp(walk, **kwargs)
-        assert (result.span is not None) == (count > 0 and elem_bytes <= sector_bytes)
-        assert_same_result(result, coalesce_warp_reference(walk.materialize(), **kwargs))
-        if result.span is not None:
-            assert result.ids_sorted and result.bounds == result.span
+        assert (result.kinds[0] == WALK) == (count > 0 and elem_bytes <= sector_bytes)
+        reference = coalesce_warp_reference(walk.materialize(), **kwargs)
+        assert_same_result(result, reference)
+        if result.kinds[0] == WALK:
+            # the span the hierarchy prices from: the first and last ids
+            ids = reference.line_ids
+            assert (result.span_first[0], result.span_last[0]) == (ids[0], ids[-1])
 
     @pytest.mark.parametrize(
         "elem_bytes, warp_size, sector_bytes",
@@ -465,16 +480,15 @@ class TestWarpWalkClosedForm:
 
 
 class TestCoalescerHints:
-    """What a result says about its ids (sorted, bounds) is true, so the
-    hierarchy may skip scanning for it."""
+    """What a result says about its streams (kind, id segment) is true,
+    so the hierarchy may price each stream from it."""
 
     @staticmethod
     def assert_hints_hold(result):
         ids = result.line_ids
-        if result.ids_sorted:
-            assert (ids[1:] >= ids[:-1]).all()
-        if result.bounds is not None:
-            assert result.bounds == (int(ids.min()), int(ids.max()))
+        assert result.kinds[0] == (IDS if result.accesses else EMPTY)
+        assert list(result.id_starts) == [0]
+        assert result.stream_transactions[0] == ids.size == result.transactions
 
     @given(
         addresses,
@@ -488,34 +502,25 @@ class TestCoalescerHints:
         kwargs = dict(warp_size=warp_size, sector_bytes=sector_bytes)
         result = coalesce_warp(addrs, **kwargs)
         assert_same_result(result, coalesce_warp_reference(addrs, **kwargs))
-        if addrs.size:
-            assert result.bounds is not None
-            self.assert_hints_hold(result)
-        if order in ("increasing", "non-decreasing"):
-            assert result.ids_sorted == (addrs.size > 0)
+        self.assert_hints_hold(result)
 
     @given(addresses, st.sampled_from(ORDERS), st.integers(min_value=1, max_value=16))
     @settings(max_examples=200, deadline=None)
     def test_stream(self, raw, order, merge_window):
         addrs = ordered(raw, order)
         result = coalesce_stream(addrs, merge_window=merge_window)
-        if addrs.size:
-            assert result.bounds is not None
-            self.assert_hints_hold(result)
-        if order in ("increasing", "non-decreasing"):
-            assert result.ids_sorted == (addrs.size > 0)
+        assert_same_result(result, coalesce_stream_reference(addrs, merge_window=merge_window))
+        self.assert_hints_hold(result)
 
     @pytest.mark.parametrize("count", [1, 31, 32, 33, 95])
     def test_unsorted_partial_last_warp(self, count):
         # The padding lanes repeat the last lane: no extra transaction,
-        # and the padding never shows in the bounds.
+        # and the padding never shows in the ids.
         addrs = (np.arange(count, dtype=np.int64)[::-1] * 96) + 64
         result = coalesce_warp(addrs)
         assert_same_result(result, coalesce_warp_reference(addrs))
         self.assert_hints_hold(result)
-        assert result.ids_sorted == (count <= WARP_SIZE)
-        # Rows that each sort into place make sorted ids.
         rows = np.arange(96, dtype=np.int64).reshape(3, WARP_SIZE)[:, ::-1] * 32
         result = coalesce_warp(rows.ravel()[:count])
-        assert result.ids_sorted
+        assert_same_result(result, coalesce_warp_reference(rows.ravel()[:count]))
         self.assert_hints_hold(result)

@@ -103,31 +103,31 @@ class TestMemoryHierarchy:
     def test_fitting_stream_hits_l2_on_reuse(self):
         hierarchy = self.make()
         addrs = np.tile(sequential_addresses(1024, elem_bytes=4), 4)
-        stats = hierarchy.process(coalesce_warp(addrs))
+        stats = hierarchy.process(coalesce_warp(addrs))[0]
         assert stats.l2_hits > 0
         assert stats.dram_accesses < stats.transactions
 
     def test_l2_bypass_sends_everything_to_dram(self):
         hierarchy = self.make()
         addrs = np.tile(sequential_addresses(1024, elem_bytes=4), 4)
-        stats = hierarchy.process(coalesce_warp(addrs), l2_bypass=True)
+        stats = hierarchy.process(coalesce_warp(addrs), l2_bypass=True)[0]
         assert stats.l2_hits == 0
         assert stats.dram_accesses == stats.transactions
 
     def test_empty_result(self):
         hierarchy = self.make()
-        stats = hierarchy.process(coalesce_warp(np.empty(0, dtype=np.int64)))
+        stats = hierarchy.process(coalesce_warp(np.empty(0, dtype=np.int64)))[0]
         assert stats == MemoryStats()
 
     def test_dram_bytes_are_sector_sized(self):
         hierarchy = self.make()
-        stats = hierarchy.process(coalesce_warp(sequential_addresses(64)), l2_bypass=True)
+        stats = hierarchy.process(coalesce_warp(sequential_addresses(64)), l2_bypass=True)[0]
         assert stats.dram_bytes == stats.dram_accesses * 32
 
     def test_merged_accumulates(self):
         hierarchy = self.make()
-        a = hierarchy.process(coalesce_warp(sequential_addresses(64)))
-        b = hierarchy.process(coalesce_warp(sequential_addresses(64, base=1 << 20)))
+        a = hierarchy.process(coalesce_warp(sequential_addresses(64)))[0]
+        b = hierarchy.process(coalesce_warp(sequential_addresses(64, base=1 << 20)))[0]
         merged = a.merged(b)
         assert merged.transactions == a.transactions + b.transactions
         assert merged.accesses == 128
@@ -139,10 +139,10 @@ class TestMemoryHierarchy:
 
     def test_coalescing_factor_reported(self):
         hierarchy = self.make()
-        stats = hierarchy.process(coalesce_warp(sequential_addresses(32, elem_bytes=4)))
+        stats = hierarchy.process(coalesce_warp(sequential_addresses(32, elem_bytes=4)))[0]
         assert stats.coalescing_factor == 8.0
 
     def test_dram_time_positive_for_traffic(self):
         hierarchy = self.make()
-        stats = hierarchy.process(coalesce_warp(sequential_addresses(4096)), l2_bypass=True)
+        stats = hierarchy.process(coalesce_warp(sequential_addresses(4096)), l2_bypass=True)[0]
         assert hierarchy.dram_time_s(stats) > 0

@@ -86,6 +86,59 @@ class TestTracer:
         end = tracer.events[-1]
         assert end["ph"] == "E" and end["args"] == {"sim_time_s": 1.5}
 
+    def test_annotate_after_close_lands_on_end_event(self):
+        # A launch is priced after its span closed: its outcome still
+        # lands on the end event the span emitted.
+        tracer = Tracer(clock=FakeClock())
+        with tracer.span("phase", "gpu-kernel") as span:
+            pass
+        end = tracer.events[-1]
+        assert end["ph"] == "E" and "args" not in end
+        span.annotate(sim_time_s=1.5)
+        span.annotate(bottleneck="dram")
+        assert end["args"] == {"sim_time_s": 1.5, "bottleneck": "dram"}
+        with tracer.span("other") as other:
+            other.annotate(transactions=3)
+        other.annotate(dram_bytes=96)
+        assert tracer.events[-1]["args"] == {"transactions": 3, "dram_bytes": 96}
+
+    def test_instant_args_fill_in_later(self):
+        tracer = Tracer(clock=FakeClock())
+        args = tracer.instant("scu.phase", "scu", phase="scu.bitmask(x)", elements=4)
+        args.update(sim_time_s=2.0)
+        assert tracer.events[-1]["args"] == {
+            "phase": "scu.bitmask(x)",
+            "elements": 4,
+            "sim_time_s": 2.0,
+        }
+
+    def test_scu_phase_instants_carry_their_sim_args(self):
+        obs = make_observability()
+        run_algorithm("bfs", load_dataset("human"), "TX1", SystemMode.SCU_ENHANCED, obs=obs)
+        phases = [e for e in obs.tracer.events if e["name"] == "scu.phase"]
+        assert phases
+        for event in phases:
+            assert list(event["args"]) == [
+                "phase", "elements", "sim_time_s", "sim_energy_j", "bottleneck", "dram_bytes"
+            ]
+
+    def test_gpu_kernel_span_args_match_the_per_stream_path(self, monkeypatch):
+        from tests.test_launch_tally import price_launches_per_stream
+
+        def kernel_args():
+            obs = make_observability()
+            run_algorithm("bfs", load_dataset("human"), "TX1", SystemMode.SCU_ENHANCED, obs=obs)
+            return [
+                e.get("args")
+                for e in obs.tracer.events
+                if (e["ph"] == "E" and e["cat"] == "gpu-kernel") or e["name"] == "scu.phase"
+            ]
+
+        logged = kernel_args()
+        assert logged and all(args and args["sim_time_s"] > 0 for args in logged)
+        price_launches_per_stream(monkeypatch)
+        assert kernel_args() == logged
+
     def test_chrome_trace_schema(self, tmp_path):
         tracer = Tracer(clock=FakeClock())
         with tracer.span("a", "cat", depth=0):

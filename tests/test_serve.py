@@ -355,6 +355,62 @@ class TestHttpService:
             assert message in payload["message"]
 
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (b'{"source": 1000000000}', "is not a node of human"),
+            (b'{"source": -1}', "is not a node of human"),
+            (b'{"source": 2.5}', "must be an integer, got 2.5"),
+            (b'{"bogus": 1}', "unknown kwargs for bfs: bogus"),
+        ],
+    )
+    def test_driver_kwargs_are_checked_at_decode(self, served, kwargs, message):
+        # These bodies used to drop the connection (an IndexError or a
+        # TypeError inside the driver).
+        _, base = served
+        body = REQUEST_BODY[:-1] + b', "kwargs": ' + kwargs + b"}"
+        for _ in range(2):  # the same body, the same answer
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(base, body)
+            assert excinfo.value.code == 400
+            payload = json.loads(excinfo.value.read())
+            assert payload["error"] == "bad-request"
+            assert message in payload["message"]
+
+    def test_sssp_rejects_a_bfs_only_kwarg(self, served):
+        _, base = served
+        body = json.dumps(
+            {
+                "algorithm": "sssp",
+                "dataset": "human",
+                "gpu": "TX1",
+                "mode": "gpu",
+                "kwargs": {"max_iterations": 3},
+            }
+        ).encode()
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(base, body)
+        assert excinfo.value.code == 400
+        assert "unknown kwargs for sssp: max_iterations" in json.loads(excinfo.value.read())["message"]
+
+    def test_an_unexpected_failure_is_a_500_with_a_request_id(self, served, monkeypatch):
+        service, base = served
+
+        def broken(request, ctx):
+            raise IndexError("driver bug")
+
+        monkeypatch.setattr(service, "handle_run", broken)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(base, REQUEST_BODY)
+        assert excinfo.value.code == 500
+        assert excinfo.value.headers["X-Request-Id"]
+        payload = json.loads(excinfo.value.read())
+        assert payload["error"] == "internal"
+        (record,) = service.journal.tail(None)
+        assert record["status"] == 500
+        assert record["request_id"] == excinfo.value.headers["X-Request-Id"]
+
+
 class TestCoalescing:
     def test_eight_concurrent_identical_requests_simulate_once(self):
         """The acceptance scenario: 8 cold identical requests -> 1 sim."""
