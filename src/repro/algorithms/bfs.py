@@ -38,7 +38,7 @@ from .common import (
     best_effort_cull,
     compaction_sync_overhead_s,
     finalize_report,
-    pick_source,
+    resolve_source,
     warp_cull,
 )
 from .reference import UNREACHED
@@ -55,8 +55,7 @@ def run_bfs(
     """Run BFS; returns (hop distances, phase-level cost report)."""
     if mode is not SystemMode.GPU and not system.has_scu:
         raise SimulationError(f"mode {mode.value} requires a system with an SCU")
-    if source is None:
-        source = pick_source(graph)
+    source = resolve_source(graph, source)
 
     dev = GraphOnDevice.place(graph, system, np.int64(UNREACHED))
     labels = dev.node_data.values

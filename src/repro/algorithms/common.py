@@ -17,6 +17,7 @@ import numpy as np
 from ..backends.modes import SystemMode
 from ..core.api import ScuSystem
 from ..core.energy import scu_static_power_w
+from ..errors import ArgumentError
 from ..gpu.energy import system_static_power_w
 from ..graph.csr import CsrGraph
 from ..mem.address_space import DeviceArray
@@ -210,3 +211,17 @@ def finalize_report(report: RunReport, system: ScuSystem) -> RunReport:
 def pick_source(graph: CsrGraph) -> int:
     """Deterministic high-degree source so traversals reach most nodes."""
     return int(np.argmax(graph.out_degrees))
+
+
+def resolve_source(graph: CsrGraph, source: int | None) -> int:
+    """A traversal's source: ``source`` if it is a node of ``graph``
+    (else :class:`~repro.errors.ArgumentError`), :func:`pick_source`'s
+    node if it is ``None``."""
+    if source is None:
+        return pick_source(graph)
+    if not 0 <= source < graph.num_nodes:
+        raise ArgumentError(
+            f"kwargs['source'] {source} is not a node of {graph.name} "
+            f"({graph.num_nodes} nodes)"
+        )
+    return source

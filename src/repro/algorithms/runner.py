@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..backends import get_backend
 from ..core.api import PAPER_SCALE
 from ..core.config import ScuConfig
-from ..errors import ExperimentError
+from ..errors import ArgumentError, ExperimentError
 from ..graph.csr import CsrGraph
 from ..graph.datasets import load_dataset
 from ..obs import LruCache, Observability
@@ -125,13 +125,17 @@ class BatchItem:
 
     ``simulated`` is False when the report came from a cache tier (or a
     duplicate earlier in the same batch); ``tier`` is ``"l1"``/``"l2"``
-    for cache hits, ``None`` when the batch actually simulated it.
+    for cache hits, ``None`` when the batch actually simulated it.  A
+    request whose own run argument is bad gets no report but its
+    :class:`~repro.errors.ArgumentError` in ``error``: it fails alone,
+    not its whole batch.
     """
 
     request: RunRequest
-    report: RunReport
+    report: Optional[RunReport]
     simulated: bool
     tier: Optional[str] = None
+    error: Optional[ArgumentError] = None
 
 
 def run_batch(
@@ -184,18 +188,23 @@ def run_batch(
         for cache_key, members in distinct.items():
             report = cached.get(cache_key)
             simulated = report is None
+            error = None
             if simulated:
                 leader = requests[members[0]]
-                report = run_algorithm(
-                    leader.algorithm,
-                    graph,
-                    leader.gpu_name,
-                    leader.mode,
-                    obs=obs,
-                    **dict(leader.kwargs),
-                ).report
-                if use_cache:
-                    put_cached_report(leader, report)
+                try:
+                    report = run_algorithm(
+                        leader.algorithm,
+                        graph,
+                        leader.gpu_name,
+                        leader.mode,
+                        obs=obs,
+                        **dict(leader.kwargs),
+                    ).report
+                except ArgumentError as bad:
+                    simulated, error = False, bad
+                else:
+                    if use_cache:
+                        put_cached_report(leader, report)
             for index, position in enumerate(members):
                 results[position] = BatchItem(
                     request=requests[position],
@@ -204,6 +213,7 @@ def run_batch(
                     # simulation; duplicates rode along for free.
                     simulated=simulated and index == 0,
                     tier=tiers.get(cache_key),
+                    error=error,
                 )
     return [item for item in results if item is not None]
 

@@ -42,7 +42,7 @@ from .common import (
     GraphOnDevice,
     SystemMode,
     finalize_report,
-    pick_source,
+    resolve_source,
 )
 
 
@@ -80,8 +80,7 @@ def run_sssp(
     """
     if mode is not SystemMode.GPU and not system.has_scu:
         raise SimulationError(f"mode {mode.value} requires a system with an SCU")
-    if source is None:
-        source = pick_source(graph)
+    source = resolve_source(graph, source)
     if delta is None:
         # Davidson tunes delta online; mean weight x small factor works
         # across our weight range and keeps round counts comparable.

@@ -120,7 +120,8 @@ class StreamCompactionUnit:
                 phase_args,
                 [stream.role for stream in streams],
                 hash_probes=hash_probes,
-            )
+            ),
+            report,
         )
         return report
 

@@ -28,6 +28,11 @@ class SimulationError(ReproError):
     """Raised when a simulation reaches an inconsistent state."""
 
 
+class ArgumentError(ReproError):
+    """Raised when a run argument does not fit the run's input (a
+    traversal source that is not a node of the graph)."""
+
+
 class OperationError(ReproError):
     """Raised when an SCU operation receives invalid operands."""
 

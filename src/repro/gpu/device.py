@@ -132,7 +132,8 @@ class GpuDevice:
                 memory_efficiency=spec.memory_efficiency,
                 extra_overhead_s=spec.extra_overhead_s,
                 iru_elements=iru_elements,
-            )
+            ),
+            report,
         )
         return report
 

@@ -97,18 +97,11 @@ class DramModel:
         """Time to drain ``traffic``, bandwidth-bound with a latency floor."""
         if traffic.accesses == 0:
             return 0.0
-        return self.drain_time_s(
-            traffic.accesses, traffic.bytes_transferred, traffic.row_hit_fraction
-        )
-
-    def drain_time_s(
-        self, accesses: int, bytes_transferred: int, row_hit_fraction: float
-    ) -> float:
-        """:meth:`transfer_time_s` of ``accesses > 0`` transactions, on
-        plain numbers (``row_hit_fraction`` already in range)."""
         return float(
             self.drain_times_s(
-                np.array([accesses]), np.array([bytes_transferred]), np.array([row_hit_fraction])
+                np.array([traffic.accesses]),
+                np.array([traffic.bytes_transferred]),
+                np.array([traffic.row_hit_fraction]),
             )[0]
         )
 

@@ -19,14 +19,9 @@ from ..obs import NULL_OBS, Observability
 from .address_space import AddressGather, AddressWalk
 from .coalescer import IDS, KNOWN, REPEAT, SECTOR_BYTES, WALK, CoalesceResult, StreamBatch
 from .dram import DramConfig, DramModel, DramTraffic
-# profile_lines and estimate_hit_rate are the single-stream forms of
-# what process() computes per segment; they stay importable here.
-from .locality import (  # noqa: F401
-    BITMAP_SPAN_FACTOR,
-    estimate_hit_rate,
-    profile_lines,
-    reuse_hit_rate,
-)
+# estimate_hit_rate is the single-stream form of the hit rate process()
+# computes per stream; perfbench's mem.locality layer names it here.
+from .locality import estimate_hit_rate, profile_lines, reuse_hit_rate  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -255,67 +250,18 @@ def _profile_segments(
     """Distinct L2 lines and row-hit fraction of each id segment.
 
     Segment ``k`` is ``ids[starts[k]:starts[k] + counts[k]]``; the
-    segments (``counts`` positive) tile ``ids`` in order.  Each
-    segment's L2 lines are offset into its own span of keys, the spans
-    laid end to end so that no two segments share a key: dense segments
-    (the same span test as :func:`~repro.mem.locality.profile_lines`)
-    first, marked in one bitmap and counted per span; sparse ones after,
-    sorted together and counted per block.  Row hits are the equal
-    neighbours of one compare, summed per segment without the pair that
-    straddles its end.
+    segments (``counts`` positive) tile ``ids`` in order.  The L2 lines
+    are counted by :func:`~repro.mem.locality.profile_lines`.  Row hits
+    are the equal neighbours of one compare, summed per segment without
+    the pair that straddles its end.
     """
-    lines = _floor_div(ids, ratio)
-    low = np.minimum.reduceat(lines, starts)
-    span = np.maximum.reduceat(lines, starts) - low + 1
-    dense = span <= BITMAP_SPAN_FACTOR * counts
-    laid = np.where(dense, span, 0)
-    base = np.zeros(starts.size, dtype=np.int64)
-    np.cumsum(laid[:-1], out=base[1:])
-    if not dense.all():
-        sparse = np.where(dense, 0, span)
-        sparse_base = np.zeros(starts.size, dtype=np.int64)
-        np.cumsum(sparse[:-1], out=sparse_base[1:])
-        base = np.where(dense, base, laid.sum() + sparse_base)
-    keys = lines + np.repeat(base - low, counts)
-    if dense.all():
-        unique = _count_marked(keys, base, span)
-    else:
-        unique = np.empty(starts.size, dtype=np.int64)
-        member = np.repeat(dense, counts)
-        for chosen, mask, count in (
-            (dense, member, _count_marked),
-            (~dense, ~member, _count_sorted),
-        ):
-            at = np.flatnonzero(chosen)
-            if at.size:
-                unique[at] = count(keys[np.flatnonzero(mask)], base[at], span[at])
-
+    unique = profile_lines(_floor_div(ids, ratio), counts).segment_unique_lines
     rows = _floor_div(ids, lines_per_row)
     same = np.zeros(ids.size, dtype=bool)
     np.equal(rows[1:], rows[:-1], out=same[:-1])
     ends = np.append(starts[1:], ids.size)
     hits = np.add.reduceat(same, starts, dtype=np.int64) - same[ends - 1]
     return unique, _row_hits(counts, counts - 1 - hits)
-
-
-def _count_marked(keys: np.ndarray, base: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """Distinct keys per span ``[base[k], base[k] + span[k])``, by bitmap."""
-    seen = np.zeros(int(base[-1] + span[-1]), dtype=bool)
-    seen[keys] = True
-    if base.size == 1:
-        return np.array([np.count_nonzero(seen)])
-    return np.add.reduceat(seen, base, dtype=np.int64)
-
-
-def _count_sorted(keys: np.ndarray, base: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """Distinct keys per span, by one sort of all the keys: the spans are
-    disjoint and in order, so each block's first key starts a run."""
-    keys = np.sort(keys)
-    first = np.empty(keys.size, dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    block = np.searchsorted(keys, base)
-    return np.add.reduceat(first, block, dtype=np.int64)
 
 
 class StreamStats:
@@ -452,7 +398,8 @@ class StreamLog:
 
     Each launch records its streams through the log's channels
     (:meth:`channel`, one per coalescer configuration) and closes with
-    :meth:`end_launch`, which hands over a *finish* callback.
+    :meth:`end_launch`, which hands over its pending report and a
+    *finish* callback.
     :meth:`flush` prices every pending stream in segmented passes —
     one coalescer call per configuration, one :meth:`~MemoryHierarchy.process`
     and one DRAM pass over the whole log — then walks the launches in
@@ -460,7 +407,8 @@ class StreamLog:
     serialized DRAM time replay the per-stream recurrences, and its
     finish callback turns them into the launch's report.  A flush
     happens when a pending report is read, or when the held sector ids
-    pass :data:`PENDING_IDS_LIMIT`.
+    pass :data:`PENDING_IDS_LIMIT`.  A flush that raises marks every
+    report it left unsettled failed, and re-raises.
 
     An unmasked gather is priced once: its first pricing memoizes its
     counts on the descriptor, and later launches (or later streams of
@@ -476,6 +424,7 @@ class StreamLog:
         #: per stream, in order: 2 * channel number + L2 bypass
         self._streams: list[int] = []
         self._launch_ends: list[int] = []
+        self._reports: list = []
         self._finish: list[Callable] = []
         self._pending_ids = 0
         for channel in self._channels.values():
@@ -489,15 +438,18 @@ class StreamLog:
             channel = self._channels[key] = LogChannel(self, len(self._channels), coalesce, params)
         return channel
 
-    def end_launch(self, finish: Callable) -> None:
+    def end_launch(self, finish: Callable, report=None) -> None:
         """Close the open launch.
 
         ``finish(memory, dram_s, stats, lo, hi)`` is called at the flush
         with the launch's merged :class:`MemoryStats`, its serialized
         DRAM time, and the flush's :class:`StreamStats` whose streams
-        ``lo:hi`` are the launch's.
+        ``lo:hi`` are the launch's.  ``report``, the launch's pending
+        :class:`~repro.phases.PhaseReport` if it has one, is marked
+        failed if the flush raises before settling it.
         """
         self._launch_ends.append(len(self._streams))
+        self._reports.append(report)
         self._finish.append(finish)
         if self._pending_ids > PENDING_IDS_LIMIT:
             self.flush()
@@ -506,6 +458,16 @@ class StreamLog:
         """Price every pending launch and run its finish callback."""
         if not self._finish:
             return
+        reports = self._reports
+        try:
+            self._price()
+        except BaseException as error:
+            for report in reports:
+                if report is not None:
+                    report.fail(error)
+            raise
+
+    def _price(self) -> None:
         channels = list(self._channels.values())
         codes = np.array(self._streams, dtype=np.int64)
         parts = [channel for channel in channels if len(channel.batch)]

@@ -19,7 +19,7 @@ whose conclusions hinge on transaction *counts*, not hit-rate decimals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,67 +28,104 @@ from ..errors import ConfigError
 
 @dataclass(frozen=True)
 class LocalityProfile:
-    """Reuse structure of one access stream (in cache-line units)."""
+    """Reuse structure of one access stream (in cache-line units).
+
+    A profile of several segments holds their totals, and each
+    segment's distinct lines in ``segment_unique_lines``.
+    """
 
     accesses: int
     unique_lines: int
+    segment_unique_lines: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def reuses(self) -> int:
         return self.accesses - self.unique_lines
 
 
-#: A span bitmap is used when the id span is at most this many times
-#: the stream length: one bool per id in the span then takes at most the
-#: int64 input's own bytes.  The path also builds an n-element int64
-#: array of offsets into the span, so its extra memory is at most twice
-#: the input's bytes (the sort it replaces copies the input once).
+#: A segment is counted in the span bitmap when its id span is at most
+#: this many times its length: one bool per id in the span then takes
+#: at most the int64 input's own bytes.  The path also builds an
+#: n-element int64 array of keys into the spans, so its extra memory is
+#: at most twice the input's bytes (the sort it replaces copies the
+#: input once).
 BITMAP_SPAN_FACTOR = 8
 
 
-def profile_lines(
-    line_ids: np.ndarray,
-    *,
-    ids_sorted: bool | None = None,
-    bounds: tuple[int, int] | None = None,
-) -> LocalityProfile:
-    """Measure the reuse structure of a stream of line ids.
+def profile_lines(line_ids: np.ndarray, counts: np.ndarray | None = None) -> LocalityProfile:
+    """Measure the reuse structure of a stream of line ids, or of each
+    of its segments.
 
-    Counts the distinct ids in O(n) on the streams real runs produce,
-    choosing the path from the ids themselves; every path returns
-    exactly what :func:`profile_lines_reference` returns:
+    With ``counts``, the stream is consecutive segments of ``counts[k]``
+    ids each (all positive), and each segment is profiled on its own;
+    without, the stream is one segment.  Each segment's count of
+    distinct ids is exactly what :func:`profile_lines_reference` returns
+    for it, found in O(n) on the streams real runs produce.  Every
+    segment's ids are offset into its own span of keys, the spans laid
+    end to end so that no two segments share a key:
 
-    * non-decreasing ids (a sequential walk, a sorted gather): each
-      distinct id is one step of the sorted run, so the count is one
-      plus the number of nonzero steps;
-    * ids inside a span of at most ``BITMAP_SPAN_FACTOR x n`` (a gather
-      into one allocation): mark each id in a bool bitmap over the span
-      and count the marks;
-    * anything else (sparse ids over a wide span): sort them, then
-      count as for non-decreasing ids.
-
-    A caller that already knows whether the ids are non-decreasing
-    (``ids_sorted``; False may also mean "not known") or their
-    ``(min, max)`` (``bounds``) passes them, and the ids are not scanned
-    for them again.
+    * segments whose span is at most ``BITMAP_SPAN_FACTOR x`` their
+      length (a gather into one allocation, a sequential run) come
+      first: each key marks a bool in one bitmap, counted per span;
+    * the others (sparse ids over a wide span) come after, sorted
+      together: the spans are disjoint and in order, so each span's
+      first key and every key that differs from its predecessor start
+      a run of equal keys.
     """
     line_ids = np.asarray(line_ids, dtype=np.int64)
-    n = line_ids.size
-    if n == 0:
-        return LocalityProfile(0, 0)
-    if ids_sorted is None:
-        ids_sorted = not (line_ids[1:] < line_ids[:-1]).any()
-    if not ids_sorted:
-        if bounds is None:
-            bounds = (int(line_ids.min()), int(line_ids.max()))
-        low, high = bounds
-        span = high - low + 1
-        if span <= BITMAP_SPAN_FACTOR * n:
-            seen = np.zeros(span, dtype=bool)
-            seen[line_ids - low] = True
-            return LocalityProfile(n, int(np.count_nonzero(seen)))
-        line_ids = np.sort(line_ids)
-    return LocalityProfile(n, 1 + int(np.count_nonzero(line_ids[1:] != line_ids[:-1])))
+    if counts is None:
+        if line_ids.size == 0:
+            return LocalityProfile(0, 0)
+        counts = np.array([line_ids.size])
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.size == 0:
+        return LocalityProfile(0, 0, np.zeros(0, dtype=np.int64))
+    starts = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    low = np.minimum.reduceat(line_ids, starts)
+    span = np.maximum.reduceat(line_ids, starts) - low + 1
+    dense = span <= BITMAP_SPAN_FACTOR * counts
+    laid = np.where(dense, span, 0)
+    base = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(laid[:-1], out=base[1:])
+    if dense.all():
+        keys = line_ids + np.repeat(base - low, counts)
+        unique = _count_marked(keys, base, span)
+    else:
+        sparse = np.where(dense, 0, span)
+        sparse_base = np.zeros(counts.size, dtype=np.int64)
+        np.cumsum(sparse[:-1], out=sparse_base[1:])
+        base = np.where(dense, base, laid.sum() + sparse_base)
+        keys = line_ids + np.repeat(base - low, counts)
+        unique = np.empty(counts.size, dtype=np.int64)
+        member = np.repeat(dense, counts)
+        for chosen, mask, count in (
+            (dense, member, _count_marked),
+            (~dense, ~member, _count_sorted),
+        ):
+            at = np.flatnonzero(chosen)
+            if at.size:
+                unique[at] = count(keys[np.flatnonzero(mask)], base[at], span[at])
+    return LocalityProfile(int(line_ids.size), int(unique.sum()), unique)
+
+
+def _count_marked(keys: np.ndarray, base: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Distinct keys per span ``[base[k], base[k] + span[k])``, by bitmap."""
+    seen = np.zeros(int(base[-1] + span[-1]), dtype=bool)
+    seen[keys] = True
+    if base.size == 1:
+        return np.array([np.count_nonzero(seen)])
+    return np.add.reduceat(seen, base, dtype=np.int64)
+
+
+def _count_sorted(keys: np.ndarray, base: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Distinct keys per span, by one sort of all the keys."""
+    keys = np.sort(keys)
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    block = np.searchsorted(keys, base)
+    return np.add.reduceat(first, block, dtype=np.int64)
 
 
 def profile_lines_reference(line_ids: np.ndarray) -> LocalityProfile:

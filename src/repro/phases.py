@@ -16,6 +16,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from .errors import SimulationError
 from .mem.hierarchy import MemoryStats
 
 
@@ -44,7 +45,8 @@ class PhaseReport:
     The engines return a *pending* report (:meth:`pending`): its cost
     fields are filled in when the hierarchy's stream log is priced,
     which the first read of any of them triggers.  A settled report
-    holds no reference to the log.
+    holds no reference to the log; reading a cost field of a report
+    whose pricing failed raises :class:`~repro.errors.SimulationError`.
     """
 
     name: str
@@ -57,8 +59,7 @@ class PhaseReport:
     memory: MemoryStats = field(default_factory=MemoryStats)
 
     def __post_init__(self) -> None:
-        if self.time_s < 0 or self.dynamic_energy_j < 0:
-            raise ValueError(f"phase {self.name}: negative cost")
+        _check_cost(self.name, self.time_s, self.dynamic_energy_j)
 
     @classmethod
     def pending(cls, log, **fields) -> "PhaseReport":
@@ -69,23 +70,41 @@ class PhaseReport:
 
     def settle(self, time_s: float, dynamic_energy_j: float, memory: MemoryStats) -> None:
         """Fill in a pending report's cost fields (the log's flush)."""
+        _check_cost(self.name, time_s, dynamic_energy_j)
         state = vars(self)
         state.update(time_s=time_s, dynamic_energy_j=dynamic_energy_j, memory=memory)
         del state["_log"]
-        self.__post_init__()
+
+    def fail(self, error: BaseException) -> None:
+        """Mark a still pending report whose pricing raised ``error``."""
+        state = vars(self)
+        if state.pop("_log", None) is not None:
+            state["_failure"] = error
 
     def __getattr__(self, name: str):
-        # Reached only for attributes not set yet: a pending cost field.
-        log = vars(self).get("_log")
-        if log is None or name not in COST_FIELDS:
+        # Reached only for attributes not set yet: a pending or failed
+        # cost field.
+        state = vars(self)
+        if name not in COST_FIELDS:
             raise AttributeError(name)
-        log.flush()
-        return vars(self)[name]
+        log = state.get("_log")
+        if log is not None:
+            log.flush()
+            if name in state:
+                return state[name]
+        raise SimulationError(
+            f"phase {state['name']}: pricing its launch failed"
+        ) from state.get("_failure")
 
     def __getstate__(self) -> dict:
         if "_log" in vars(self):
             self._log.flush()
         return vars(self)
+
+
+def _check_cost(name: str, time_s: float, dynamic_energy_j: float) -> None:
+    if time_s < 0 or dynamic_energy_j < 0:
+        raise ValueError(f"phase {name}: negative cost")
 
 
 @dataclass

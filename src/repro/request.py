@@ -178,6 +178,9 @@ class RunRequest:
         seed = payload.get("seed", 42)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ProtocolError("field 'seed' must be an integer")
+        if seed < 0:
+            # the dataset generators take non-negative seeds only
+            raise ProtocolError(f"field 'seed' must be non-negative, got {seed}")
         raw_kwargs = payload.get("kwargs", {})
         if not isinstance(raw_kwargs, dict):
             raise ProtocolError("field 'kwargs' must be a JSON object")
@@ -212,7 +215,7 @@ class RunRequest:
         if "memory_scale" in raw_kwargs:
             _check_memory_scale(raw_kwargs["memory_scale"], payload["gpu"])
         if "source" in raw_kwargs:
-            _check_source(raw_kwargs["source"], payload["dataset"], seed)
+            _check_source(raw_kwargs["source"])
         return cls.make(
             payload["algorithm"],
             payload["dataset"],
@@ -239,18 +242,12 @@ def _check_driver_kwargs(algorithm: str, driver: Any, kwargs: dict) -> None:
         )
 
 
-def _check_source(source: Any, dataset: str, seed: int) -> None:
-    """Reject a ``source`` that is not a node of the requested graph."""
-    from .graph.datasets import load_dataset
-
+def _check_source(source: Any) -> None:
+    """Reject a ``source`` that is not an integer.  Whether it is a node
+    of the graph is checked where the graph is loaded: the traversal
+    drivers raise :class:`~repro.errors.ArgumentError`."""
     if isinstance(source, bool) or not isinstance(source, int):
         raise ProtocolError(f"kwargs['source'] must be an integer, got {source!r}")
-    nodes = load_dataset(dataset, seed=seed).num_nodes
-    if not 0 <= source < nodes:
-        raise ProtocolError(
-            f"kwargs['source'] {source} is not a node of {dataset} "
-            f"(seed {seed}: {nodes} nodes)"
-        )
 
 
 def _check_memory_scale(scale: Any, gpu_name: str) -> None:

@@ -34,6 +34,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import (
+    ArgumentError,
     ProtocolError,
     ServiceError,
     ServiceOverloadError,
@@ -155,11 +156,15 @@ class ServiceConfig:
     batch_max: int = 8
 
 
-def _isolated_run(request: RunRequest) -> RunReport:
-    """Sweep worker: simulate one request in a child process."""
+def _isolated_run(request: RunRequest) -> RunReport | ArgumentError:
+    """Sweep worker: simulate one request in a child process.  A bad run
+    argument comes back as its error, for the parent to answer 400."""
     from ..algorithms.runner import execute_request
 
-    return execute_request(request).report
+    try:
+        return execute_request(request).report
+    except ArgumentError as error:
+        return error
 
 
 def _isolated_traced_run(request: RunRequest) -> Dict[str, Any]:
@@ -179,7 +184,10 @@ def _isolated_traced_run(request: RunRequest) -> Dict[str, Any]:
 
     base_us = epoch_us_now()
     obs = make_observability()
-    report = execute_request(request, obs=obs).report
+    try:
+        report = execute_request(request, obs=obs).report
+    except ArgumentError as error:
+        return {"report": error, "spans": []}
     spans = spans_from_tracer(
         obs.tracer,
         trace_id="",
@@ -666,6 +674,7 @@ class SimulationService:
                     member.ctx.queue_entered = task.submitted_at
         for member, item in zip(members, items):
             member.report = item.report
+            member.error = item.error
         self._count(BATCH_BATCHES_METRIC)
         if size > 1:
             self._count_n(BATCH_FUSED_METRIC, size)
@@ -854,9 +863,10 @@ class SimulationService:
                 ) from failure
             raise ServiceError(f"isolated simulation failed: {failure}") from failure
         value = outcomes[0].value
-        if with_spans:
-            return value["report"], value["spans"]
-        return value, []
+        report, spans = (value["report"], value["spans"]) if with_spans else (value, [])
+        if isinstance(report, ArgumentError):
+            raise report
+        return report, spans
 
     # -- introspection / lifecycle --------------------------------------
     def health(self) -> Dict[str, Any]:
@@ -910,6 +920,7 @@ class SimulationService:
 #: (exception class -> HTTP status, stable error code); checked in order.
 _ERROR_MAP: Tuple[Tuple[type, int, str], ...] = (
     (ProtocolError, 400, "bad-request"),
+    (ArgumentError, 400, "bad-request"),
     (ServiceOverloadError, 429, "overloaded"),
     (ServiceUnavailableError, 503, "draining"),
     (ServiceTimeoutError, 504, "timeout"),
@@ -918,6 +929,7 @@ _ERROR_MAP: Tuple[Tuple[type, int, str], ...] = (
 #: (exception class -> journal outcome); checked in order.
 _OUTCOME_MAP: Tuple[Tuple[type, str], ...] = (
     (ProtocolError, OUTCOME_BAD_REQUEST),
+    (ArgumentError, OUTCOME_BAD_REQUEST),
     (ServiceOverloadError, OUTCOME_REJECTED),
     (ServiceUnavailableError, OUTCOME_DRAINING),
     (ServiceTimeoutError, OUTCOME_TIMEOUT),

@@ -22,7 +22,7 @@ from repro.algorithms import run_algorithm
 from repro.algorithms.common import SystemMode
 from repro.core.config import SCU_CONFIGS
 from repro.core.pipeline import ScuStream, observe_scu_streams, record_scu_streams
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.gpu import GPU_SYSTEMS, GpuDevice, KernelSpec
 from repro.graph.datasets import load_dataset
 from repro.mem import GDDR5, AddressGather, AddressWalk, MemoryHierarchy, MemoryStats
@@ -112,7 +112,7 @@ class PerStreamLog:
     def channel(self, coalesce, **params):
         return _Channel(self, coalesce, params)
 
-    def end_launch(self, finish) -> None:
+    def end_launch(self, finish, report=None) -> None:
         self.launches.append((len(self.streams), finish))
 
     def flush(self) -> None:
@@ -367,3 +367,29 @@ class TestPendingReports:
         payload = pickle.dumps(outcome.report)
         assert b"StreamLog" not in payload and b"LogChannel" not in payload
         assert pickle.loads(payload).phases == outcome.report.phases
+
+    def test_a_failed_flush_marks_the_reports_it_left_unsettled(self, monkeypatch):
+        device = GpuDevice(GPU_SYSTEMS["TX1"], memory_scale=16.0)
+        spec = KernelSpec(name="walk", kind=PhaseKind.PROCESSING, threads=512)
+        spec.load(AddressWalk(0, 512, 4))
+        first = device.run(spec)
+        broken = device.run(dataclasses.replace(spec, name="broken"))
+        last = device.run(spec)
+        settle = type(first).settle
+
+        def failing_settle(report, *costs):
+            if report.name == "broken":
+                raise RuntimeError("finish failed")
+            settle(report, *costs)
+
+        monkeypatch.setattr(type(first), "settle", failing_settle)
+        with pytest.raises(RuntimeError, match="finish failed"):
+            device.hierarchy.log.flush()
+        assert first.time_s > 0  # settled before the failure
+        for report in (broken, last):
+            with pytest.raises(SimulationError, match="pricing its launch failed") as excinfo:
+                report.memory
+            assert isinstance(excinfo.value.__cause__, RuntimeError)
+        # The log is empty again and prices new launches.
+        monkeypatch.setattr(type(first), "settle", settle)
+        assert device.run(spec).time_s == first.time_s

@@ -252,23 +252,11 @@ class TestLocalityProfile:
 
 class TestProfileLinesMatchesReference:
     """Every counting path of ``profile_lines`` equals the ``np.unique``
-    reference exactly."""
+    reference exactly, for a whole stream and for each segment."""
 
     @staticmethod
     def assert_same(line_ids):
-        expected = profile_lines_reference(line_ids)
-        assert profile_lines(line_ids) == expected
-        if line_ids.size:
-            # what a coalescer may pass on: the bounds, and "sorted" when
-            # it knows (False also stands for "not known")
-            bounds = (int(line_ids.min()), int(line_ids.max()))
-            is_sorted = bool((line_ids[1:] >= line_ids[:-1]).all())
-            for ids_sorted in {is_sorted, False}:
-                for hint in (bounds, None):
-                    assert (
-                        profile_lines(line_ids, ids_sorted=ids_sorted, bounds=hint)
-                        == expected
-                    )
+        assert profile_lines(line_ids) == profile_lines_reference(line_ids)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     @pytest.mark.parametrize("order", ORDERS)
@@ -304,6 +292,33 @@ class TestProfileLinesMatchesReference:
         assert int(ids.max()) - int(ids.min()) + 1 <= BITMAP_SPAN_FACTOR * ids.size
         self.assert_same(ids)
         assert profile_lines(ids).unique_lines == 4
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(min_value=0, max_value=1 << 12), min_size=1, max_size=40),
+                st.sampled_from([0, 1 << 35, -(1 << 20)]),
+                st.booleans(),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_segments_are_profiled_on_their_own(self, segments):
+        # Segments of dense and sparse spans, offset so that neighbours
+        # overlap, interleave or lie far apart.
+        parts = []
+        for raw, offset, sparse in segments:
+            ids = np.array(raw, dtype=np.int64) + offset
+            if sparse:
+                ids[0] += 1 << 30
+            parts.append(ids)
+        line_ids = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        profile = profile_lines(line_ids, np.array([part.size for part in parts], dtype=np.int64))
+        expected = [profile_lines_reference(part).unique_lines for part in parts]
+        assert profile.segment_unique_lines.tolist() == expected
+        assert profile.accesses == line_ids.size
+        assert profile.unique_lines == sum(expected)
 
 
 class TestHierarchyPricesWalksExactly:

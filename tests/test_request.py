@@ -12,7 +12,7 @@ import pytest
 from repro import RunOutcome, RunRequest, build_system, run_algorithm
 from repro.algorithms import execute_request
 from repro.algorithms.common import SystemMode
-from repro.errors import ConfigError, ExperimentError, ProtocolError
+from repro.errors import ArgumentError, ConfigError, ExperimentError, ProtocolError
 from repro.graph.datasets import load_dataset
 from repro.harness import experiment_key
 from repro.harness.parallel import SweepCell
@@ -186,6 +186,35 @@ class TestWireFormat:
         assert dict(request.kwargs) == {"memory_scale": 2**13}
         system = build_system("TX1", mode="gpu", memory_scale=2**13)
         assert system.gpu.hierarchy.l2_capacity_bytes == 32
+
+    def test_from_dict_builds_no_graph(self, monkeypatch):
+        # A client picks the seed: decoding must not build its graph.
+        from repro.graph import datasets
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decode loaded a dataset")
+
+        monkeypatch.setattr(datasets, "load_dataset", refuse)
+        payload = {
+            "algorithm": "bfs",
+            "dataset": "human",
+            "gpu": "TX1",
+            "mode": "gpu",
+            "seed": 987654,
+            "kwargs": {"source": 10**9},
+        }
+        assert dict(RunRequest.from_dict(payload).kwargs) == {"source": 10**9}
+
+    def test_from_dict_rejects_a_negative_seed(self):
+        payload = {"algorithm": "bfs", "dataset": "human", "gpu": "TX1", "mode": "gpu", "seed": -5}
+        with pytest.raises(ProtocolError, match="must be non-negative, got -5"):
+            RunRequest.from_dict(payload)
+
+    def test_a_source_outside_the_graph_is_an_argument_error(self):
+        graph = load_dataset("human")
+        for source in (-1, graph.num_nodes):
+            with pytest.raises(ArgumentError, match="is not a node of human"):
+                run_algorithm("sssp", graph, "TX1", SystemMode.GPU, source=source)
 
 
 class TestRunOutcome:

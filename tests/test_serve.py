@@ -17,6 +17,7 @@ import urllib.request
 import pytest
 
 from repro.algorithms import clear_run_cache, execute_request
+from repro.algorithms.runner import run_batch
 from repro.algorithms.common import SystemMode
 from repro.errors import (
     ServiceOverloadError,
@@ -356,6 +357,15 @@ class TestHttpService:
 
 
     @pytest.mark.parametrize(
+        "config",
+        [
+            ServiceConfig(port=0),
+            ServiceConfig(port=0, run_isolated=True),
+            ServiceConfig(port=0, batch_window_ms=5.0),
+        ],
+        ids=["in-process", "isolated", "batched"],
+    )
+    @pytest.mark.parametrize(
         "kwargs, message",
         [
             (b'{"source": 1000000000}', "is not a node of human"),
@@ -364,18 +374,42 @@ class TestHttpService:
             (b'{"bogus": 1}', "unknown kwargs for bfs: bogus"),
         ],
     )
-    def test_driver_kwargs_are_checked_at_decode(self, served, kwargs, message):
+    def test_bad_driver_kwargs_are_400(self, config, kwargs, message):
         # These bodies used to drop the connection (an IndexError or a
-        # TypeError inside the driver).
-        _, base = served
-        body = REQUEST_BODY[:-1] + b', "kwargs": ' + kwargs + b"}"
-        for _ in range(2):  # the same body, the same answer
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _post(base, body)
-            assert excinfo.value.code == 400
-            payload = json.loads(excinfo.value.read())
-            assert payload["error"] == "bad-request"
-            assert message in payload["message"]
+        # TypeError inside the driver).  The type and the name are
+        # checked at decode; whether the source is a node of the graph,
+        # by the driver once the graph is loaded.
+        clear_run_cache()
+        service = SimulationService(config)
+        httpd, base = _start(service)
+        try:
+            body = REQUEST_BODY[:-1] + b', "kwargs": ' + kwargs + b"}"
+            for _ in range(2):  # the same body, the same answer
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    _post(base, body)
+                assert excinfo.value.code == 400
+                payload = json.loads(excinfo.value.read())
+                assert payload["error"] == "bad-request"
+                assert message in payload["message"]
+            # the service still answers a good request
+            assert _post(base, REQUEST_BODY)[0] == 200
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            service.drain(timeout_s=10.0)
+            clear_run_cache()
+
+    def test_a_bad_source_fails_alone_in_its_batch(self):
+        clear_run_cache()
+        good = RunRequest.make("bfs", "human", "TX1", "scu-enhanced")
+        bad = RunRequest.make("bfs", "human", "TX1", "scu-enhanced", source=10**9)
+        items = run_batch([bad, good])
+        assert items[0].report is None and "is not a node of human" in str(items[0].error)
+        assert items[1].error is None
+        assert encode(run_response(good, items[1].report)) == encode(
+            run_response(good, execute_request(good).report)
+        )
+        clear_run_cache()
 
     def test_sssp_rejects_a_bfs_only_kwarg(self, served):
         _, base = served
